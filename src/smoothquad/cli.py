@@ -12,6 +12,7 @@ seconds column, independent of the thread count.
 import argparse
 import concurrent.futures
 import csv
+import functools
 import math
 import sys
 import time
@@ -127,6 +128,14 @@ def _parse_float(value, key):
         raise ConfigInvalid(f"{key} must be a number, got {value!r}") from exc
 
 
+def _parse_seed(value) -> int:
+    """Seed from a config file or ``--seed``; must fit in 64 unsigned bits."""
+    seed = _parse_int(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigInvalid(f"seed must fit in 64 bits, got {seed}")
+    return seed
+
+
 def _build_config(raw) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if "model" in raw:
@@ -145,9 +154,7 @@ def _build_config(raw) -> ExperimentConfig:
         if cfg.d < 1:
             raise ConfigInvalid(f"d must be positive, got {cfg.d}")
     if "seed" in raw:
-        cfg.seed = _parse_int(raw["seed"][0], "seed")
-        if not 0 <= cfg.seed < 2**64:
-            raise ConfigInvalid(f"seed must fit in 64 bits, got {cfg.seed}")
+        cfg.seed = _parse_seed(raw["seed"][0])
     if "strike_mode" in raw:
         cfg.strike_mode = raw["strike_mode"][0]
         if cfg.strike_mode not in (models.ATM, models.ITM, models.OTM):
@@ -289,8 +296,9 @@ def _bs_row_tasks(cfg, model, trace):
                 integrand = pricing.smoothed_integrand_v(
                     prob, v, linalg.rank_one_reduce(prob.Sigma, v)
                 )
+            price = functools.partial(pricing.price_asg, integrand, trace=trace)
             for tol in cfg.tol_schedule:
-                tasks.append((method, _adaptive_task(method, integrand, tol, trace)))
+                tasks.append((method, _adaptive_task(method, price, tol)))
     return tasks
 
 
@@ -311,34 +319,13 @@ def _sampling_task(method, est, n):
     return run
 
 
-def _adaptive_task(method, integrand, tol, trace):
+def _adaptive_task(method, price, tol):
+    """Row closure for one adaptive run; ``price(tol)`` returns (value, state)."""
+
     def run(ref):
         start = time.monotonic()
         try:
-            value, state = pricing.price_asg(integrand, tol, trace=trace)
-            status = "ok"
-        except BudgetExhausted as exc:
-            value, state = exc.state.value, exc.state
-            status = "BudgetExhausted"
-        except SmoothQuadError as exc:
-            return pricing.EstimateRecord(
-                method, 0, math.nan, None, time.monotonic() - start,
-                status=type(exc).__name__,
-            )
-        seconds = time.monotonic() - start
-        rel = abs(value / ref - 1.0) if ref else None
-        return pricing.EstimateRecord(
-            method, state.evaluations, value, rel, seconds, status=status
-        )
-
-    return run
-
-
-def _vg_adaptive_task(method, model, tol, v, trace):
-    def run(ref):
-        start = time.monotonic()
-        try:
-            value, state = pricing.price_vg_smoothed(model, tol, v=v, trace=trace)
+            value, state = price(tol)
             status = "ok"
         except BudgetExhausted as exc:
             value, state = exc.state.value, exc.state
@@ -383,8 +370,9 @@ def _vg_row_tasks(cfg, model, trace):
                 v, _ = linalg.best_binary_v(models.vg_base_matrix(model))
             else:
                 v = None
+            price = functools.partial(pricing.price_vg_smoothed, model, v=v, trace=trace)
             for tol in cfg.tol_schedule:
-                tasks.append((method, _vg_adaptive_task(method, model, tol, v, trace)))
+                tasks.append((method, _adaptive_task(method, price, tol)))
     return tasks
 
 
@@ -546,7 +534,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--trace", action="store_true")
     p = sub.add_parser("plot")
@@ -564,7 +552,7 @@ def main(argv=None) -> int:
             return 0
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _parse_seed(args.seed)
         if args.out is not None:
             cfg.output = args.out
         trace = _trace_writer(args.trace)

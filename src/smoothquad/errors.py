@@ -14,10 +14,6 @@ class NotPositiveDefinite(SmoothQuadError):
     """A matrix expected to be symmetric positive definite is not."""
 
 
-class NoConvergence(SmoothQuadError):
-    """An iterative solver hit its iteration cap before converging."""
-
-
 class ZeroVector(SmoothQuadError):
     """A direction vector is identically zero."""
 

@@ -1,29 +1,21 @@
-"""Dense symmetric linear algebra for the smoothing decomposition.
+"""Covariance splitting for the smoothing decomposition.
 
-The pricing code needs three things from this module: a Cholesky factor
-for solves against a covariance matrix, a symmetric eigensolver, and the
-rank-one reduction that splits a covariance into the smoothing direction
-``v`` and a positive semidefinite remainder.  Matrices here are small
-(dimension is capped at 35), so everything favours clarity and exact
-reproducibility over asymptotic speed.
+``rank_one_reduce`` splits a covariance into the smoothing direction
+``v`` and a positive semidefinite remainder, ``lambda1_sq`` scores one
+direction and ``best_binary_v`` searches the binary ones.  The Cholesky
+factor and the eigendecomposition are numpy's LAPACK calls; eigenvector
+signs are fixed by a rule because LAPACK leaves them arbitrary.
+Dimension is capped at 35.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    NoConvergence,
-    NotPositiveDefinite,
-    ZeroVector,
-)
+from .errors import DimensionTooLarge, NotPositiveDefinite, ZeroVector
 
 MAX_DIM = 35
 MAX_ENUM_DIM = 25
-
-_SWEEP_CAP = 100
-_OFF_DIAG_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -35,7 +27,8 @@ class SmoothingDecomposition:
     V : ndarray, shape (d, d)
         Change-of-basis matrix.  The first column is the smoothing
         direction ``v``; the remaining columns are orthonormal
-        eigenvectors of the reduced matrix.
+        eigenvectors of the reduced matrix, each signed so that its
+        largest-magnitude entry is positive.
     lambda_sq : ndarray, shape (d,)
         Factor variances.  ``lambda_sq[0]`` belongs to the smoothing
         direction, the rest are sorted in decreasing order and are
@@ -66,141 +59,22 @@ def _as_sym_matrix(a, max_dim=None) -> np.ndarray:
     return a
 
 
-def _off_diag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def _inv_factor(sigma: np.ndarray) -> np.ndarray:
+    """Inverse ``Linv`` of the lower Cholesky factor: sigma^-1 = Linv.T Linv."""
+    try:
+        L = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"covariance is not positive definite: {exc}") from exc
+    return np.linalg.inv(L)
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
-
-    Parameters
-    ----------
-    a : array_like, shape (d, d)
-        Symmetric positive definite matrix.
-
-    Returns
-    -------
-    ndarray
-        Lower-triangular ``L`` with ``L @ L.T == a`` up to round-off.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If a pivot is not strictly positive.
-    """
-    a = _as_sym_matrix(a)
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefinite(f"pivot {j} is {d:.3e}, expected > 0")
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def solve_spd(L: np.ndarray, b) -> np.ndarray:
-    """Solve ``A x = b`` given the Cholesky factor ``L`` of ``A``."""
-    b = np.asarray(b, dtype=float)
-    n = L.shape[0]
-    y = np.empty(n)
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x
-
-
-def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Rotations are applied pairwise in row-cyclic order until the
-    off-diagonal Frobenius norm falls below ``1e-13`` times the Frobenius
-    norm of the input; at most 100 sweeps are attempted.
-
-    Parameters
-    ----------
-    a : array_like, shape (d, d)
-        Symmetric matrix.
-
-    Returns
-    -------
-    (eigenvalues, Q) : (ndarray, ndarray)
-        Eigenvalues sorted in decreasing order and the matrix whose
-        columns are the matching orthonormal eigenvectors.
-
-    Raises
-    ------
-    NoConvergence
-        If the sweep cap is reached before the threshold is met.
-    """
-    A = _as_sym_matrix(a).copy()
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    Q = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), Q
-
-    fro = float(np.linalg.norm(A))
-    if fro == 0.0:
-        return np.zeros(n), Q
-    target = _OFF_DIAG_TOL * fro
-    # rotations below this size cannot push the off-diagonal norm back
-    # over the target, so later sweeps skip them
-    skip = target / (2.0 * n)
-
-    converged = False
-    for _ in range(_SWEEP_CAP):
-        if _off_diag_norm(A) <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                if abs(theta) > 1e154:
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) if theta != 0.0 else 1.0
-                    t /= abs(theta) + np.hypot(theta, 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                new_p = c * cp - s * cq
-                new_q = s * cp + c * cq
-                A[:, p] = new_p
-                A[:, q] = new_q
-                A[p, :] = new_p
-                A[q, :] = new_q
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = Q[:, p].copy()
-                vq = Q[:, q].copy()
-                Q[:, p] = c * vp - s * vq
-                Q[:, q] = s * vp + c * vq
-    if not converged:
-        off = _off_diag_norm(A)
-        if off > target:
-            raise NoConvergence(
-                f"Jacobi sweeps did not converge in {_SWEEP_CAP} sweeps "
-                f"(off-diagonal {off:.3e}, target {target:.3e})"
-            )
-
-    eigvals = np.diag(A).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], Q[:, order]
+def _inv_quadratic(sigma: np.ndarray, v: np.ndarray) -> float:
+    """``<v, sigma^-1 v>`` computed as ``|Linv v|^2``."""
+    y = _inv_factor(sigma) @ v
+    ip = float(y @ y)
+    if ip <= 0.0:
+        raise NotPositiveDefinite(f"<v, sigma^-1 v> = {ip:.3e}, expected > 0")
+    return ip
 
 
 def _check_direction(v, n: int) -> np.ndarray:
@@ -221,12 +95,7 @@ def lambda1_sq(sigma, v=None) -> float:
     """
     sigma = _as_sym_matrix(sigma, max_dim=MAX_DIM)
     v = _check_direction(v, sigma.shape[0])
-    L = cholesky(sigma)
-    w = solve_spd(L, v)
-    ip = float(v @ w)
-    if ip <= 0.0:
-        raise NotPositiveDefinite(f"<v, sigma^-1 v> = {ip:.3e}, expected > 0")
-    return 1.0 / ip
+    return 1.0 / _inv_quadratic(sigma, v)
 
 
 def rank_one_reduce(sigma, v=None) -> SmoothingDecomposition:
@@ -236,7 +105,8 @@ def rank_one_reduce(sigma, v=None) -> SmoothingDecomposition:
     ``V`` is ``v`` itself and the remaining columns are orthonormal
     eigenvectors of ``sigma - v v.T / <v, sigma^-1 v>``.  That reduced
     matrix is positive semidefinite with a one-dimensional null space, so
-    its smallest eigenvalue is discarded as the structural zero.
+    its smallest eigenvalue is discarded as the structural zero.  Each
+    eigenvector is signed so that its largest-magnitude entry is positive.
 
     Parameters
     ----------
@@ -261,16 +131,17 @@ def rank_one_reduce(sigma, v=None) -> SmoothingDecomposition:
     n = sigma.shape[0]
     v = _check_direction(v, n)
 
-    L = cholesky(sigma)
-    w = solve_spd(L, v)
-    ip = float(v @ w)
-    if ip <= 0.0:
-        raise NotPositiveDefinite(f"<v, sigma^-1 v> = {ip:.3e}, expected > 0")
+    ip = _inv_quadratic(sigma, v)
     lam1 = 1.0 / ip
 
     reduced = sigma - np.outer(v, v) / ip
     reduced = 0.5 * (reduced + reduced.T)
-    eigvals, Q = sym_eigen(reduced)
+    eigvals, Q = np.linalg.eigh(reduced)
+    eigvals, Q = eigvals[::-1], Q[:, ::-1]
+    # LAPACK picks eigenvector signs arbitrarily; a fixed rule keeps the
+    # rotated coordinates, and so every sampled estimate, independent of it
+    pivots = np.argmax(np.abs(Q), axis=0)
+    Q = Q * np.sign(Q[pivots, np.arange(n)])
 
     scale = float(np.linalg.norm(reduced))
     tail = eigvals[: n - 1].copy()
@@ -308,13 +179,9 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
             f"binary search enumerates 2^d vectors; d = {n} exceeds {MAX_ENUM_DIM}"
         )
 
-    L = cholesky(sigma)
-    # quadratic form v' P v with P = sigma^-1, assembled column by column
-    P = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        P[:, j] = solve_spd(L, eye[:, j])
-    P = 0.5 * (P + P.T)
+    # quadratic form v' P v with P = sigma^-1
+    Linv = _inv_factor(sigma)
+    P = Linv.T @ Linv
 
     bits = np.arange(n, dtype=np.uint32)
     best_q = np.inf

@@ -24,6 +24,7 @@ from .rules1d import genz_keister_sequence, laguerre_sequence
 from .sampling import RngSpec, SobolStream, inv_norm_cdf
 from .sparsegrid import (
     DEFAULT_MAX_EVALS,
+    AdaptiveState,
     adaptive_quadrature,
     interpolant_total_degree,
 )
@@ -191,18 +192,8 @@ def smoothed_integrand_v(
     return Integrand(dim=prob.d - 1, func=func, label="CS2")
 
 
-def _mean_of(f, sampler, n, chunk=_CHUNK):
-    sums = []
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        vals = np.asarray(f(sampler(m)), dtype=float)
-        sums.append(float(np.sum(vals)))
-        done += m
-    return math.fsum(sums) / n
-
-
 def _mean_se_of(f, sampler, n, chunk=_CHUNK):
+    """Mean of ``f`` over ``n`` sampled points, and its standard error."""
     sums = []
     squares = []
     done = 0
@@ -236,7 +227,8 @@ def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = 20):
     estimates = np.empty(runs)
     for run in range(runs):
         gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
-        estimates[run] = _mean_of(integrand, _normal_sampler(gen, integrand.dim), n)
+        sampler = _normal_sampler(gen, integrand.dim)
+        estimates[run] = _mean_se_of(integrand, sampler, n)[0]
     return float(np.median(estimates)), estimates
 
 
@@ -255,7 +247,7 @@ def price_qmc(integrand: Integrand, n: int) -> float:
     if integrand.dim == 0:
         return float(np.asarray(integrand(np.zeros((1, 0))))[0])
     stream = SobolStream(integrand.dim)
-    return _mean_of(integrand, lambda m: inv_norm_cdf(stream.points(m)), n)
+    return _mean_se_of(integrand, lambda m: inv_norm_cdf(stream.points(m)), n)[0]
 
 
 def price_asg(
@@ -272,8 +264,6 @@ def price_asg(
     """
     if integrand.dim == 0:
         value = float(np.asarray(integrand(np.zeros((1, 0))))[0])
-        from .sparsegrid import AdaptiveState
-
         state = AdaptiveState(dim=0, old_set={()}, value=value)
         state.evaluations = 1
         state.distinct_points = 1
@@ -320,7 +310,7 @@ def price_cv(
         sampler = lambda m: inv_norm_cdf(stream.points(m))
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return mean + _mean_of(residual, sampler, n)
+    return mean + _mean_se_of(residual, sampler, n)[0]
 
 
 def vg_smoothed_integrand(
@@ -456,9 +446,8 @@ def price_vg_mc(
         z = gen.standard_normal((m, inner))
         return np.column_stack([y, z])
 
-    if return_se:
-        return _mean_se_of(integrand, sampler, n)
-    return _mean_of(integrand, sampler, n)
+    mean, se = _mean_se_of(integrand, sampler, n)
+    return (mean, se) if return_se else mean
 
 
 def reference_tolerance(d: int) -> float:

@@ -10,7 +10,7 @@ to one.  Three families are provided:
   u^alpha e^-u / Gamma(alpha+1).
 
 Nodes and weights come from the Golub-Welsch eigenproblem, solved with
-the Jacobi eigensolver from :mod:`smoothquad.linalg`.
+``numpy.linalg.eigh`` and then Newton-polished.
 """
 
 import functools
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from ._gk_table import GK_NODES, GK_SIZES, GK_WEIGHTS
 from .errors import AlphaOutOfRange, OrderOutOfRange
 
@@ -56,16 +55,10 @@ def _golub_welsch(diag, offdiag_ext) -> QuadratureRule:
     p_n itself.  Nodes start as eigenvalues of the truncated Jacobi
     matrix and are polished below.
     """
-    n = len(diag)
-    J = np.diag(diag)
-    if n > 1:
-        idx = np.arange(n - 1)
-        J[idx, idx + 1] = offdiag_ext[:-1]
-        J[idx + 1, idx] = offdiag_ext[:-1]
-    eigvals, Q = linalg.sym_eigen(J)
-    order = np.argsort(eigvals, kind="stable")
-    nodes = eigvals[order]
-    weights = Q[0, order] ** 2
+    off = offdiag_ext[:-1]
+    J = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, Q = np.linalg.eigh(J)
+    weights = Q[0] ** 2
     nodes, weights = _refine_rule(nodes, weights, np.asarray(diag), np.asarray(offdiag_ext))
     return QuadratureRule(nodes=nodes, weights=weights)
 

@@ -3,7 +3,8 @@
 The Sobol generator is the plain unscrambled construction from embedded
 direction numbers (dimensions up to 64), generated in Gray-code order.
 By default the all-zeros index is skipped so every coordinate lies
-strictly inside (0, 1).
+strictly inside (0, 1).  The inverse normal transform is
+``scipy.special.ndtri`` behind a domain check.
 
 Pseudo-random sampling goes through counter-based Philox streams keyed
 by (base_seed, stream_id), so runs are reproducible under any thread
@@ -14,7 +15,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtri
 
 from ._sobol_table import DIRECTION_DATA, SOBOL_MAX_DIM
 from .errors import DimensionTooLarge, OutOfDomain
@@ -100,95 +101,19 @@ def sobol_points(dim: int, n: int, skip: int = 1) -> np.ndarray:
     return SobolStream(dim, start=skip).points(n)
 
 
-# Rational approximation with central and tail branches, then one Newton
-# polish against the erfc-based normal CDF.  The approximation alone is
-# good to ~1e-9 relative; quadratic convergence takes the polished root
-# far below the 1e-13 contract.
-_CENTRAL_NUM = (
-    -3.969683028665376e+01,
-    2.209460984245205e+02,
-    -2.759285104469687e+02,
-    1.383577518672690e+02,
-    -3.066479806614716e+01,
-    2.506628277459239e+00,
-)
-_CENTRAL_DEN = (
-    -5.447609879822406e+01,
-    1.615858368580409e+02,
-    -1.556989798598866e+02,
-    6.680131188771972e+01,
-    -1.328068155288572e+01,
-)
-_TAIL_NUM = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e+00,
-    -2.549732539343734e+00,
-    4.374664141464968e+00,
-    2.938163982698783e+00,
-)
-_TAIL_DEN = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_TAIL_SPLIT = 0.02425
-_INV_SQRT_2PI = 0.3989422804014327
-
-
-def _polyval(coeffs, x):
-    acc = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _inv_norm_lower(q):
-    """Inverse CDF on the lower half, q in (0, 0.5]."""
-    x = np.empty_like(q)
-    tail = q < _TAIL_SPLIT
-    if np.any(tail):
-        u = np.sqrt(-2.0 * np.log(q[tail]))
-        x[tail] = _polyval(_TAIL_NUM, u) / (_polyval(_TAIL_DEN, u) * u + 1.0)
-    mid = ~tail
-    if np.any(mid):
-        qm = q[mid] - 0.5
-        r = qm * qm
-        x[mid] = (
-            _polyval(_CENTRAL_NUM, r)
-            * qm
-            / (_polyval(_CENTRAL_DEN, r) * r + 1.0)
-        )
-    # Newton step on Phi(x) - q; erfc keeps the residual relatively
-    # accurate all the way down the tail.  Skip where the density
-    # underflows (the approximation is already absolutely tight there).
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    safe = pdf > 1e-300
-    if np.any(safe):
-        xs = x[safe]
-        x[safe] = xs - (ndtr(xs) - q[safe]) / pdf[safe]
-    return x
-
-
 def inv_norm_cdf(p):
-    """Quantile of the standard normal distribution.
+    """Quantile of the standard normal distribution (``scipy.special.ndtri``).
 
     Accepts a scalar or an array with every entry in the open interval
-    (0, 1); the return type matches.  Exploits the exact symmetry
-    inv_norm_cdf(1 - p) == -inv_norm_cdf(p) so both tails are computed
-    through the well-scaled lower branch.
+    (0, 1); the return type matches.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise OutOfDomain("inverse normal CDF needs probabilities in (0, 1)")
-    upper = arr > 0.5
-    q = np.where(upper, 1.0 - arr, arr)
-    x = _inv_norm_lower(np.atleast_1d(q))
-    x = np.where(np.atleast_1d(upper), -x, x)
+    x = ndtri(arr)
     if np.isscalar(p) or arr.ndim == 0:
-        return float(x[0])
-    return x.reshape(arr.shape)
+        return float(x)
+    return x
 
 
 @dataclass(frozen=True)

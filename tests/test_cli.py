@@ -266,6 +266,12 @@ class TestPriceVerb:
         price = float(out.strip().splitlines()[-1].split()[-1])
         assert 0.0 < price < models.random_instance(2, 9).forward()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "nine"])
+    def test_seed_flag_validated_like_config(self, tmp_path, capsys, seed):
+        conf = write_config(tmp_path / "p.conf", "model = bs\nd = 2\nseed = 9\n")
+        assert cli.main(["price", "--config", conf, f"--seed={seed}"]) == 2
+        assert "config error: seed" in capsys.readouterr().err
+
 
 class TestPlotVerb:
     def make_csv(self, tmp_path):

@@ -1,11 +1,11 @@
-"""Dense symmetric linear algebra: Cholesky, Jacobi eigensolver, and the
-rank-1 smoothing decomposition."""
+"""Rank-one smoothing decomposition, captured variance and the binary
+direction search."""
 import math
 
 import numpy as np
 import pytest
 
-from smoothquad import linalg
+from smoothquad import linalg, models
 from smoothquad.errors import (
     DimensionTooLarge,
     NotPositiveDefinite,
@@ -19,33 +19,45 @@ def random_spd(rng, d, jitter=1.0):
 
 
 class TestCholesky:
+    """The Cholesky step behind lambda1_sq and rank_one_reduce."""
+
     def test_identity(self):
-        np.testing.assert_allclose(linalg.cholesky(np.eye(3)), np.eye(3))
+        for v in ([1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, -1.0, 0.5]):
+            v = np.asarray(v)
+            assert linalg.lambda1_sq(np.eye(3), v) == pytest.approx(
+                1.0 / float(v @ v), rel=1e-14
+            )
 
     def test_two_by_two_closed_form(self):
+        # sigma^-1 = [[3, -2], [-2, 4]] / 8
         a = np.array([[4.0, 2.0], [2.0, 3.0]])
-        expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        np.testing.assert_allclose(linalg.cholesky(a), expected, atol=1e-14)
+        assert linalg.lambda1_sq(a) == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert linalg.lambda1_sq(a, [1.0, 0.0]) == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert linalg.lambda1_sq(a, [0.0, 1.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             a = random_spd(rng, 10)
-            L = linalg.cholesky(a)
+            dec = linalg.rank_one_reduce(a)
+            rebuilt = dec.V @ np.diag(dec.lambda_sq) @ dec.V.T
             scale = np.max(np.abs(a))
-            assert np.max(np.abs(L @ L.T - a)) <= 1e-12 * scale
-            assert np.all(np.diag(L) > 0)
-            assert np.max(np.abs(np.triu(L, 1))) == 0.0
+            assert np.max(np.abs(rebuilt - a)) <= 1e-12 * scale
+            assert np.all(dec.lambda_sq > 0)
 
     def test_indefinite_rejected(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
-            linalg.cholesky(a)
+            linalg.rank_one_reduce(a)
+        with pytest.raises(NotPositiveDefinite):
+            linalg.lambda1_sq(a)
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.3, 1.0]])
         with pytest.raises(ValueError):
-            linalg.cholesky(a)
+            linalg.rank_one_reduce(a)
+        with pytest.raises(ValueError):
+            linalg.lambda1_sq(a)
 
 
 class TestSolveSpd:
@@ -54,46 +66,57 @@ class TestSolveSpd:
         for _ in range(25):
             d = int(rng.integers(2, 12))
             a = random_spd(rng, d)
-            x = rng.standard_normal(d)
-            L = linalg.cholesky(a)
-            y = linalg.solve_spd(L, a @ x)
-            np.testing.assert_allclose(y, x, atol=1e-9, rtol=1e-9)
+            v = rng.standard_normal(d)
+            expected = 1.0 / float(v @ np.linalg.solve(a, v))
+            assert linalg.lambda1_sq(a, v) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSymEigen:
+    """The eigendecomposition of the reduced matrix inside rank_one_reduce."""
+
     def test_diagonal_sorted_descending(self):
-        vals, vecs = linalg.sym_eigen(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(vals, [3.0, 2.0, 1.0])
-        # axis eigenvectors, up to sign
-        np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, [0, 2, 1]], atol=1e-13)
+        # v = e_0 removes the first axis; the rest stay axis eigenvectors
+        dec = linalg.rank_one_reduce(np.diag([5.0, 3.0, 1.0, 2.0]), np.eye(4)[0])
+        np.testing.assert_allclose(dec.lambda_sq, [5.0, 3.0, 2.0, 1.0])
+        np.testing.assert_allclose(dec.V[:, 1:], np.eye(4)[:, [1, 3, 2]], atol=1e-13)
 
     def test_two_by_two_closed_form(self):
+        # reduced matrix [[1, -1], [-1, 1]] / 2 has eigenvalues {1, 0}
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        vals, vecs = linalg.sym_eigen(a)
-        np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-14)
+        dec = linalg.rank_one_reduce(a)
+        np.testing.assert_allclose(dec.lambda_sq, [1.5, 1.0], atol=1e-14)
         s = 1.0 / math.sqrt(2.0)
-        expected = np.array([[s, s], [s, -s]])
-        np.testing.assert_allclose(np.abs(vecs), np.abs(expected), atol=1e-13)
+        # both entries of the eigenvector tie in magnitude, so its sign is open
+        np.testing.assert_allclose(dec.V[:, 0], [1.0, 1.0])
+        np.testing.assert_allclose(np.abs(dec.V[:, 1]), [s, s], atol=1e-13)
+        assert dec.V[0, 1] == pytest.approx(-dec.V[1, 1], abs=1e-13)
 
     def test_residual_and_orthogonality(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             d = int(rng.integers(2, 16))
-            a = rng.standard_normal((d, d))
-            a = 0.5 * (a + a.T)
-            vals, vecs = linalg.sym_eigen(a)
-            scale = max(np.max(np.abs(a)), 1e-300)
-            assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-10 * scale
-            assert np.max(np.abs(vecs.T @ vecs - np.eye(d))) <= 1e-12
-            assert np.all(np.diff(vals) <= 1e-14 * scale)
+            sigma = random_spd(rng, d)
+            dec = linalg.rank_one_reduce(sigma)
+            Q = dec.V[:, 1:]
+            tail = dec.lambda_sq[1:]
+            scale = np.max(np.abs(sigma))
+            reduced = sigma - dec.lambda_sq[0] * np.outer(dec.v, dec.v)
+            assert np.max(np.abs(reduced @ Q - Q * tail)) <= 1e-10 * scale
+            rebuilt = dec.V @ np.diag(dec.lambda_sq) @ dec.V.T
+            assert np.max(np.abs(rebuilt - sigma)) <= 1e-10 * scale
+            assert np.max(np.abs(Q.T @ Q - np.eye(d - 1))) <= 1e-12
+            assert np.all(np.diff(tail) <= 1e-14 * scale)
 
     def test_matches_numpy_eigenvalues(self):
         rng = np.random.default_rng(31)
-        a = rng.standard_normal((12, 12))
-        a = a @ a.T
-        vals, _ = linalg.sym_eigen(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
-        np.testing.assert_allclose(vals, ref, atol=1e-10 * np.max(np.abs(a)))
+        sigma = random_spd(rng, 12)
+        v = np.ones(12)
+        reduced = sigma - np.outer(v, v) / float(v @ np.linalg.solve(sigma, v))
+        ref = np.sort(np.linalg.eigvalsh(reduced))[::-1][:-1]
+        dec = linalg.rank_one_reduce(sigma)
+        np.testing.assert_allclose(
+            dec.lambda_sq[1:], ref, atol=1e-10 * np.max(np.abs(sigma))
+        )
 
 
 class TestLambda1Sq:
@@ -159,11 +182,20 @@ class TestRankOneReduce:
             sigma = random_spd(rng, 8)
             v = np.ones(8)
             w = np.linalg.solve(sigma, v)
-            reduced = sigma - np.outer(v, v) / float(v @ w)
-            vals, _ = linalg.sym_eigen(reduced)
-            # the rank-1 subtraction removes exactly one dimension
-            assert abs(vals[-1]) <= 1e-10 * np.max(np.abs(reduced))
-            assert vals[-2] > 1e-6
+            dec = linalg.rank_one_reduce(sigma, v)
+            # the rank-1 subtraction removes exactly one dimension: its null
+            # vector sigma^-1 v is the dropped one, the kept spectrum is not zero
+            assert np.max(np.abs(dec.V[:, 1:].T @ w)) <= 1e-10 * np.linalg.norm(w)
+            assert dec.lambda_sq[-1] > 1e-6
+
+    def test_eigenvector_sign_rule(self):
+        # each eigenvector column has a positive largest-magnitude entry
+        prob = models.effective_bs(models.random_instance(8, 208))
+        sigmas = [prob.Sigma] + [random_spd(np.random.default_rng(s), 9) for s in range(5)]
+        for sigma in sigmas:
+            Q = linalg.rank_one_reduce(sigma).V[:, 1:]
+            pivots = np.argmax(np.abs(Q), axis=0)
+            assert np.all(Q[pivots, np.arange(Q.shape[1])] > 0.0)
 
     def test_custom_direction_kept_as_first_column(self):
         rng = np.random.default_rng(3)

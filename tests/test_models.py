@@ -35,7 +35,7 @@ class TestDoustCorrelation:
             x = rng.uniform(0.8, 1.0, 7)
             rho = models.doust_correlation(x)
             assert np.all(rho > 0.0)
-            linalg.cholesky(rho)
+            np.linalg.cholesky(rho)
 
     def test_parameters_out_of_range(self):
         with pytest.raises(OutOfDomain):
@@ -263,7 +263,7 @@ class TestRandomInstances:
             assert np.all(m.rho > 0.0)
             np.testing.assert_allclose(m.c, 1.0 / m.d, rtol=1e-15)
             assert m.T == 1.0
-            linalg.cholesky(m.rho)
+            np.linalg.cholesky(m.rho)
 
     def test_strike_regimes(self):
         atm = models.random_instance(6, 9, "atm")
