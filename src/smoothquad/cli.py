@@ -6,11 +6,10 @@ same for Variance-Gamma instances), ``decomp`` (covariance smoothing
 report) and ``plot`` (gnuplot script from a results CSV).  Configuration
 is a flat key=value file; repeated keys build lists.  Identical
 configurations produce byte-identical CSV output except for the
-seconds column, independent of the thread count.
+seconds column; a row that fails records its error as its status.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import math
@@ -26,6 +25,7 @@ from . import linalg, models, pricing
 from .errors import (
     BudgetExhausted,
     ConfigInvalid,
+    DimensionTooLarge,
     OrderOutOfRange,
     SmoothQuadError,
 )
@@ -279,27 +279,30 @@ def _bs_row_tasks(cfg, model, trace):
             return lambda n: pricing.price_cv(g_cs, n, mode="qmc")
         raise ConfigInvalid(f"method {method} is not a sampling method")
 
+    def adaptive(method):
+        if method == "aSG+CS2":
+            try:
+                v, _ = linalg.best_binary_v(prob.Sigma)
+            except DimensionTooLarge as exc:
+                return functools.partial(_raise, exc)
+            f = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
+        else:
+            f = f_raw if method == "aSG" else g_cs
+        return functools.partial(pricing.price_asg, f, trace=trace)
+
     for method in cfg.methods:
         if method in SAMPLING_METHODS:
             est = estimator(method)
-            for n in cfg.budgets:
-                tasks.append((method, _sampling_task(method, est, n)))
+            tasks.extend(_sampling_task(method, est, n) for n in cfg.budgets)
         else:
-            if method == "aSG":
-                integrand = f_raw
-                v = None
-            elif method == "aSG+CS":
-                integrand = g_cs
-                v = None
-            else:
-                v, _ = linalg.best_binary_v(prob.Sigma)
-                integrand = pricing.smoothed_integrand_v(
-                    prob, v, linalg.rank_one_reduce(prob.Sigma, v)
-                )
-            price = functools.partial(pricing.price_asg, integrand, trace=trace)
-            for tol in cfg.tol_schedule:
-                tasks.append((method, _adaptive_task(method, price, tol)))
+            price = adaptive(method)
+            tasks.extend(_adaptive_task(method, price, tol) for tol in cfg.tol_schedule)
     return tasks
+
+
+def _raise(exc, *args):
+    """Row pricer for a method that could not be set up: raise its error."""
+    raise exc
 
 
 def _sampling_task(method, est, n):
@@ -344,7 +347,8 @@ def _adaptive_task(method, price, tol):
     return run
 
 
-def _vg_row_tasks(cfg, model, trace):
+def _vg_row_tasks(cfg, model, v, trace):
+    """Row closures for a vg sweep; ``v`` is the direction of the aSG+CS2 rows."""
     seed = cfg.seed if cfg.seed is not None else 0
     tasks = []
     for method in cfg.methods:
@@ -363,16 +367,11 @@ def _vg_row_tasks(cfg, model, trace):
                     )
                 )
 
-            for n in cfg.budgets:
-                tasks.append((method, _sampling_task(method, est, n)))
+            tasks.extend(_sampling_task(method, est, n) for n in cfg.budgets)
         else:
-            if method == "aSG+CS2":
-                v, _ = linalg.best_binary_v(models.vg_base_matrix(model))
-            else:
-                v = None
-            price = functools.partial(pricing.price_vg_smoothed, model, v=v, trace=trace)
-            for tol in cfg.tol_schedule:
-                tasks.append((method, _adaptive_task(method, price, tol)))
+            v_row = v if method == "aSG+CS2" else None
+            price = functools.partial(pricing.price_vg_smoothed, model, v=v_row, trace=trace)
+            tasks.extend(_adaptive_task(method, price, tol) for tol in cfg.tol_schedule)
     return tasks
 
 
@@ -402,27 +401,23 @@ def _records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_tasks(tasks, ref, threads):
-    if threads <= 1:
-        return [task(ref) for _, task in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: t[1](ref), tasks))
+def _run_tasks(tasks, ref):
+    return [task(ref) for task in tasks]
 
 
-def run_convergence(cfg: ExperimentConfig, threads: int = 1, trace=None) -> str:
-    """Run the configured Black-Scholes sweep and write the CSV.
+def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, prepare) -> str:
+    """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
-    Returns the CSV path.  Rows appear in config order (methods outer,
-    budgets or tolerances inner) regardless of the thread count.
+    ``prepare(model)`` returns the row closures, in config order, and the
+    reference price.
     """
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
     model = build_instance(cfg)
-    if cfg.model != "bs":
-        raise ConfigInvalid("converge expects a bs model; use the vg verb instead")
-    tasks = _bs_row_tasks(cfg, model, trace)
-    ref = _bs_reference(model)
-    records = _run_tasks(tasks, ref, threads)
+    if cfg.model != kind:
+        raise ConfigInvalid(wrong_model)
+    tasks, ref = prepare(model)
+    records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")
     out.write_text(_records_to_csv(records), encoding="utf-8")
     print(f"reference {ref!r}")
@@ -430,27 +425,26 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1, trace=None) -> str:
     return str(out)
 
 
-def run_vg(cfg: ExperimentConfig, threads: int = 1, trace=None) -> str:
+def run_convergence(cfg: ExperimentConfig, trace=None) -> str:
+    """Run the configured Black-Scholes sweep and write the CSV."""
+    wrong = "converge expects a bs model; use the vg verb instead"
+    return _sweep(
+        cfg, "bs", wrong, lambda m: (_bs_row_tasks(cfg, m, trace), _bs_reference(m))
+    )
+
+
+def run_vg(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Variance-Gamma sweep and write the CSV."""
-    if not cfg.methods:
-        raise ConfigInvalid("methods list must not be empty")
-    model = build_instance(cfg)
-    if cfg.model != "vg":
-        raise ConfigInvalid("vg expects a vg model or an example")
-    base = models.vg_base_matrix(model)
-    dec = linalg.rank_one_reduce(base)
-    v, lam1_v = linalg.best_binary_v(base)
-    lams = "/".join(f"{x:.5f}" for x in dec.lambda_sq)
-    print(f"lambda_sq {lams}")
-    print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_v:.5f}")
-    tasks = _vg_row_tasks(cfg, model, trace)
-    ref = _vg_reference(model, cfg.tol_schedule)
-    records = _run_tasks(tasks, ref, threads)
-    out = Path(f"{cfg.output}.csv")
-    out.write_text(_records_to_csv(records), encoding="utf-8")
-    print(f"reference {ref!r}")
-    print(f"wrote {out}")
-    return str(out)
+
+    def prepare(model):
+        base = models.vg_base_matrix(model)
+        lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
+        print(f"lambda_sq {lams}")
+        v, lam1_v = linalg.best_binary_v(base)
+        print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_v:.5f}")
+        return _vg_row_tasks(cfg, model, v, trace), _vg_reference(model, cfg.tol_schedule)
+
+    return _sweep(cfg, "vg", "vg expects a vg model or an example", prepare)
 
 
 def report_decomposition(cfg: ExperimentConfig) -> str:
@@ -535,7 +529,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--trace", action="store_true")
     p = sub.add_parser("plot")
     p.add_argument("csv")
@@ -559,9 +552,9 @@ def main(argv=None) -> int:
         if args.verb == "price":
             print(price_instance(cfg))
         elif args.verb == "converge":
-            run_convergence(cfg, threads=args.threads, trace=trace)
+            run_convergence(cfg, trace=trace)
         elif args.verb == "vg":
-            run_vg(cfg, threads=args.threads, trace=trace)
+            run_vg(cfg, trace=trace)
         elif args.verb == "decomp":
             print(report_decomposition(cfg))
         return 0

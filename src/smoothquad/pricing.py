@@ -5,8 +5,10 @@ Conditioning on the rank-one factor of the covariance replaces it with
 a smooth integrand (the Black-Scholes formula evaluated along the
 remaining factors), which Monte Carlo, quasi-Monte Carlo, adaptive
 sparse grids and an interpolation control variate then integrate.  The
-Variance-Gamma variants add the time change as an extra integration
-variable handled by generalized Gauss-Laguerre differences.
+Variance-Gamma variants add the time change y as an extra integration
+variable handled by generalized Gauss-Laguerre differences.  Every
+smoothed builder maps its points to an exponent and shares one
+conditional-call kernel; Black-Scholes is the case y = 1, theta = 0.
 """
 
 import math
@@ -118,6 +120,33 @@ def bs_call(s0, k, sigma):
     return float(out) if scalar else out
 
 
+def _payoff(x, w, K):
+    """Basket payoff (sum_i w_i e^{x_i} - K)^+ for each row of log-returns x."""
+    return np.maximum(np.exp(x) @ w - K, 0.0)
+
+
+def _split_weights(w, v):
+    """``(w_sel, w_rest)`` for direction v; ``w_rest`` is None if v is None or all ones."""
+    if v is None:
+        return w, None
+    v = np.asarray(v, dtype=float)
+    if v.shape != w.shape:
+        raise ValueError(f"direction must have length {w.size}")
+    if not np.all((v == 0.0) | (v == 1.0)) or not np.any(v):
+        raise ValueError("direction must be binary and nonzero")
+    return w * v, None if np.all(v == 1.0) else w * (1.0 - v)
+
+
+def _conditional_call(tilt, w_sel, w_rest, K, growth, lam1):
+    """bs_call(h1 growth, K - h2, lam1) with h1 = tilt w_sel, h2 = tilt w_rest.
+
+    ``tilt`` is e^x per point (row) and asset (column), x the exponent
+    along the non-smoothing factors.
+    """
+    k = K if w_rest is None else K - tilt @ w_rest
+    return _bs_call_core((tilt @ w_sel) * growth, k, lam1)
+
+
 def raw_integrand(prob: EffectiveProblem, dec: linalg.SmoothingDecomposition) -> Integrand:
     """Kinked payoff integrand in the rotated factor coordinates.
 
@@ -131,11 +160,24 @@ def raw_integrand(prob: EffectiveProblem, dec: linalg.SmoothingDecomposition) ->
     K = prob.K
 
     def func(points):
-        points = np.asarray(points, dtype=float)
-        x = points @ transform.T
-        return np.maximum(np.exp(x) @ w - K, 0.0)
+        return _payoff(np.asarray(points, dtype=float) @ transform.T, w, K)
 
     return Integrand(dim=prob.d, func=func, label="raw")
+
+
+def _bs_conditional(prob, dec, v):
+    """Black-Scholes smoothed integrand: exponent zbar L^T, fixed growth and lambda1."""
+    loadings = dec.V[:, 1:] * np.sqrt(dec.lambda_sq[1:])
+    lam1 = math.sqrt(dec.lambda_sq[0])
+    growth = math.exp(0.5 * dec.lambda_sq[0])
+    w_sel, w_rest = _split_weights(prob.w, v)
+    K = prob.K
+
+    def func(points):
+        tilt = np.exp(np.asarray(points, dtype=float) @ loadings.T)
+        return _conditional_call(tilt, w_sel, w_rest, K, growth, lam1)
+
+    return Integrand(dim=prob.d - 1, func=func, label="CS" if v is None else "CS2")
 
 
 def smoothed_integrand(prob: EffectiveProblem, dec: linalg.SmoothingDecomposition) -> Integrand:
@@ -145,18 +187,7 @@ def smoothed_integrand(prob: EffectiveProblem, dec: linalg.SmoothingDecompositio
     weighted exponential sum over the non-smoothing factor loadings.
     Infinitely differentiable and strictly positive.
     """
-    loadings = dec.V[:, 1:] * np.sqrt(dec.lambda_sq[1:])
-    lam1 = math.sqrt(dec.lambda_sq[0])
-    growth = math.exp(0.5 * dec.lambda_sq[0])
-    w = prob.w
-    K = prob.K
-
-    def func(points):
-        points = np.asarray(points, dtype=float)
-        h = np.exp(points @ loadings.T) @ w
-        return _bs_call_core(h * growth, K, lam1)
-
-    return Integrand(dim=prob.d - 1, func=func, label="CS")
+    return _bs_conditional(prob, dec, None)
 
 
 def smoothed_integrand_v(
@@ -170,26 +201,7 @@ def smoothed_integrand_v(
     selected and h2 the remaining assets.  A shifted strike below zero
     uses the sure-payoff branch of the call formula.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (prob.d,):
-        raise ValueError(f"direction must have length {prob.d}")
-    if not np.all((v == 0.0) | (v == 1.0)) or not np.any(v):
-        raise ValueError("direction must be binary and nonzero")
-    loadings = dec.V[:, 1:] * np.sqrt(dec.lambda_sq[1:])
-    lam1 = math.sqrt(dec.lambda_sq[0])
-    growth = math.exp(0.5 * dec.lambda_sq[0])
-    w_sel = prob.w * v
-    w_rest = prob.w * (1.0 - v)
-    K = prob.K
-
-    def func(points):
-        points = np.asarray(points, dtype=float)
-        tilt = np.exp(points @ loadings.T)
-        h1 = tilt @ w_sel
-        h2 = tilt @ w_rest
-        return _bs_call_core(h1 * growth, K - h2, lam1)
-
-    return Integrand(dim=prob.d - 1, func=func, label="CS2")
+    return _bs_conditional(prob, dec, v)
 
 
 def _mean_se_of(f, sampler, n, chunk=_CHUNK):
@@ -313,6 +325,12 @@ def price_cv(
     return mean + _mean_se_of(residual, sampler, n)[0]
 
 
+def _vg_forward_weights(model):
+    """Weights c_i S0_i e^{(r + omega_i) T} and the discount factor e^{-rT}."""
+    w = model.c * model.S0 * np.exp((model.r + model.omegas()) * model.T)
+    return w, math.exp(-model.r * model.T)
+
+
 def vg_smoothed_integrand(
     model: VarianceGammaBasket,
     dec: Optional[linalg.SmoothingDecomposition] = None,
@@ -321,44 +339,32 @@ def vg_smoothed_integrand(
     """Smoothed Variance-Gamma integrand over (y, zbar).
 
     The first coordinate is the Gamma time change value y; the rest
-    are the non-smoothing Gaussian factors.  The decomposition of the
-    time-free base covariance is computed once and rescaled by y
-    inside the integrand, the weights pick up the skew tilt
-    exp(theta_i y).  A binary direction v produces the shifted-strike
-    variant on the selected assets.
+    are the non-smoothing Gaussian factors.  Given y it is the
+    Black-Scholes conditional call with exponent theta y + sqrt(y) zbar L^T,
+    growth e^{y lambda1^2/2} and volatility sqrt(y) lambda1, discounted,
+    where L and lambda1 come from the time-free base covariance
+    (decomposed once); y = 1 with theta = 0 is the Black-Scholes case.
+    A binary direction v produces the shifted-strike variant.
     """
-    base = vg_base_matrix(model)
+    w, disc = _vg_forward_weights(model)
+    w_sel, w_rest = _split_weights(w, v)
     if dec is None:
-        dec = linalg.rank_one_reduce(base, v)
+        dec = linalg.rank_one_reduce(vg_base_matrix(model), v)
     loadings = dec.V[:, 1:] * np.sqrt(dec.lambda_sq[1:])
     lam1_sq = dec.lambda_sq[0]
-    w = model.c * model.S0 * np.exp((model.r + model.omegas()) * model.T)
-    if v is None:
-        w_sel = w
-        w_rest = np.zeros_like(w)
-        label = "VG-CS"
-    else:
-        v = np.asarray(v, dtype=float)
-        if not np.all((v == 0.0) | (v == 1.0)) or not np.any(v):
-            raise ValueError("direction must be binary and nonzero")
-        w_sel = w * v
-        w_rest = w * (1.0 - v)
-        label = "VG-CS2"
+    lam1 = math.sqrt(lam1_sq)
     theta = model.theta
     K = model.K
-    disc = math.exp(-model.r * model.T)
 
     def func(points):
         points = np.asarray(points, dtype=float)
         y = points[:, 0]
         root = np.sqrt(y)
         tilt = np.exp(theta * y[:, None] + root[:, None] * (points[:, 1:] @ loadings.T))
-        h1 = tilt @ w_sel
-        s0 = h1 * np.exp(0.5 * y * lam1_sq)
-        k = K - tilt @ w_rest if np.any(w_rest) else K
-        return disc * _bs_call_core(s0, k, root * math.sqrt(lam1_sq))
+        growth = np.exp(0.5 * y * lam1_sq)
+        return disc * _conditional_call(tilt, w_sel, w_rest, K, growth, root * lam1)
 
-    return Integrand(dim=model.d, func=func, label=label)
+    return Integrand(dim=model.d, func=func, label="VG-CS" if v is None else "VG-CS2")
 
 
 def vg_raw_integrand(
@@ -366,20 +372,18 @@ def vg_raw_integrand(
     dec: Optional[linalg.SmoothingDecomposition] = None,
 ) -> Integrand:
     """Kinked Variance-Gamma payoff over (y, z) in rotated coordinates."""
-    base = vg_base_matrix(model)
+    w, disc = _vg_forward_weights(model)
     if dec is None:
-        dec = linalg.rank_one_reduce(base)
+        dec = linalg.rank_one_reduce(vg_base_matrix(model))
     transform = dec.V * np.sqrt(dec.lambda_sq)
-    w = model.c * model.S0 * np.exp((model.r + model.omegas()) * model.T)
     theta = model.theta
     K = model.K
-    disc = math.exp(-model.r * model.T)
 
     def func(points):
         points = np.asarray(points, dtype=float)
         y = points[:, 0]
         x = theta * y[:, None] + np.sqrt(y)[:, None] * (points[:, 1:] @ transform.T)
-        return disc * np.maximum(np.exp(x) @ w - K, 0.0)
+        return disc * _payoff(x, w, K)
 
     return Integrand(dim=model.d + 1, func=func, label="VG-raw")
 
@@ -410,10 +414,7 @@ def price_vg_smoothed(
 
     wrapped = Integrand(dim=model.d, func=substituted, label=g.label)
     seqs = [laguerre_sequence(alpha)] + [genz_keister_sequence()] * (model.d - 1)
-    value, _, state = adaptive_quadrature(
-        wrapped, model.d, tol, seqs, max_evals=max_evals, trace=trace
-    )
-    return value, state
+    return price_asg(wrapped, tol, seqs=seqs, max_evals=max_evals, trace=trace)
 
 
 def price_vg_mc(

@@ -178,9 +178,33 @@ class TestConvergeVerb:
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         first = self.run_sweep(tmp_path, "one")
         second = self.run_sweep(tmp_path, "two")
-        threaded = self.run_sweep(tmp_path, "eight", ("--threads", "8"))
+        third = self.run_sweep(tmp_path, "three")
         assert strip_seconds(first) == strip_seconds(second)
-        assert strip_seconds(first) == strip_seconds(threaded)
+        assert strip_seconds(first) == strip_seconds(third)
+
+    def test_threads_flag_rejected(self, tmp_path):
+        conf = write_config(tmp_path / "t.conf", BS2_SWEEP)
+        out = str(tmp_path / "t")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["converge", "--config", conf, "--out", out, "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_binary_search_above_its_cap_is_a_row_status(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
+        conf = write_config(
+            tmp_path / "d26.conf",
+            "model = bs\nd = 26\nseed = 3\nmethods = QMC+CS\nmethods = aSG+CS2\n"
+            "budgets = 18\ntol_schedule = 1e-1\n",
+        )
+        out = str(tmp_path / "d26")
+        assert cli.main(["converge", "--config", conf, "--out", out]) == 0
+        lines = (tmp_path / "d26.csv").read_text(encoding="utf-8").strip().splitlines()
+        rows = [row.split(",") for row in lines[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [
+            ("QMC+CS", "ok"),
+            ("aSG+CS2", "DimensionTooLarge"),
+        ]
+        assert float(rows[0][2]) > 0.0
 
     def test_seed_override_changes_rows(self, tmp_path):
         base = self.run_sweep(tmp_path, "base")

@@ -454,8 +454,12 @@ class TestVarianceGamma:
 
     def test_rescaled_decomposition_matches_fresh_one(self):
         model = models.vg_example(modified=True)
+        v = np.array([1.0, 1.0, 0.0])
         g = pricing.vg_smoothed_integrand(model)
+        g2 = pricing.vg_smoothed_integrand(model, v=v)
+        f = pricing.vg_raw_integrand(model)
         rng = np.random.default_rng(6)
+        rng_raw = np.random.default_rng(8)
         for y in (0.2, 0.7, 1.9):
             zbar = rng.standard_normal((5, 2))
             prob_y = models.effective_vg(model, y)
@@ -463,6 +467,15 @@ class TestVarianceGamma:
             g_y = pricing.smoothed_integrand(prob_y, dec_y)
             pts = np.column_stack([np.full(5, y), zbar])
             np.testing.assert_allclose(g(pts), g_y(zbar), rtol=1e-10)
+            g2_y = pricing.smoothed_integrand_v(
+                prob_y, v, linalg.rank_one_reduce(prob_y.Sigma, v)
+            )
+            np.testing.assert_allclose(g2(pts), g2_y(zbar), rtol=1e-10)
+            z = rng_raw.standard_normal((5, 3))
+            f_y = pricing.raw_integrand(prob_y, dec_y)
+            np.testing.assert_allclose(
+                f(np.column_stack([np.full(5, y), z])), f_y(z), rtol=1e-10
+            )
 
     def test_smoothed_and_raw_sampling_agree(self):
         model = models.vg_example(modified=True)
@@ -493,8 +506,12 @@ class TestVarianceGamma:
 
     def test_direction_validation(self):
         model = models.vg_example()
+        dec = linalg.rank_one_reduce(models.vg_base_matrix(model))
         with pytest.raises(ValueError):
             pricing.vg_smoothed_integrand(model, v=[0.5, 1.0, 0.0])
+        for v in ([1.0], [1.0, 0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="direction must"):
+                pricing.vg_smoothed_integrand(model, dec, v=v)
 
     def test_mc_needs_samples(self):
         model = models.vg_example()
