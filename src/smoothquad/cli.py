@@ -347,8 +347,13 @@ def _adaptive_task(method, price, tol):
     return run
 
 
-def _vg_row_tasks(cfg, model, v, trace):
-    """Row closures for a vg sweep; ``v`` is the direction of the aSG+CS2 rows."""
+def _vg_row_tasks(cfg, model, base, trace):
+    """Row closures for a vg sweep, in config order.
+
+    Only an ``aSG+CS2`` method runs the binary direction search on the
+    base covariance ``base`` (and prints its result); above the search's
+    cap its rows get the status ``DimensionTooLarge``.
+    """
     seed = cfg.seed if cfg.seed is not None else 0
     tasks = []
     for method in cfg.methods:
@@ -369,8 +374,15 @@ def _vg_row_tasks(cfg, model, v, trace):
 
             tasks.extend(_sampling_task(method, est, n) for n in cfg.budgets)
         else:
-            v_row = v if method == "aSG+CS2" else None
-            price = functools.partial(pricing.price_vg_smoothed, model, v=v_row, trace=trace)
+            price = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
+            if method == "aSG+CS2":
+                try:
+                    v, lam1_v = linalg.best_binary_v(base)
+                except DimensionTooLarge as exc:
+                    price = functools.partial(_raise, exc)
+                else:
+                    print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_v:.5f}")
+                    price = functools.partial(price, v=v)
             tasks.extend(_adaptive_task(method, price, tol) for tol in cfg.tol_schedule)
     return tasks
 
@@ -440,9 +452,7 @@ def run_vg(cfg: ExperimentConfig, trace=None) -> str:
         base = models.vg_base_matrix(model)
         lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
         print(f"lambda_sq {lams}")
-        v, lam1_v = linalg.best_binary_v(base)
-        print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_v:.5f}")
-        return _vg_row_tasks(cfg, model, v, trace), _vg_reference(model, cfg.tol_schedule)
+        return _vg_row_tasks(cfg, model, base, trace), _vg_reference(model, cfg.tol_schedule)
 
     return _sweep(cfg, "vg", "vg expects a vg model or an example", prepare)
 

@@ -7,9 +7,19 @@ differences are summed either over a fixed total-degree index set or
 adaptively, steered by the absolute value of each index's contribution.
 
 Integrands are batched: a callable receiving an (n, d) array of points
-and returning n values.  Every node evaluation is counted, including
-repeats of the same point across overlapping tensor rules; a separate
-distinct-point count is tracked so the two cost metrics can be compared.
+and returning n values.  A tensor grid expands only the coordinates
+whose rule has more than one node; every other coordinate sits at its
+single node.  Each tensor-rule value Q_beta = w_beta . f(grid beta) is
+computed once and kept, keyed by its level tuple, so the difference for
+alpha is the signed sum of 2^k kept values (k the number of positive
+entries).  This holds for nested and non-nested rule sequences alike.
+
+Two cost counts are kept.  ``evaluations`` counts the nodes of the 2^k
+difference grids of every index, repeats included, as if each
+difference were evaluated on its own; it is what ``max_evals`` caps.
+The integrand itself is called on sum over alpha of |grid(alpha)|
+points, once per new tensor grid, and ``distinct_points`` counts the
+distinct nodes among them.
 """
 
 import heapq
@@ -23,6 +33,8 @@ from .errors import BudgetExhausted, NonFiniteIntegrand
 from .rules1d import RuleSequence, gauss_hermite_sequence
 
 DEFAULT_MAX_EVALS = 10**7
+# rows per block of the interpolant's Lagrange bases
+_ROW_CHUNK = 2048
 
 
 def _seq_list(seqs, d):
@@ -35,14 +47,23 @@ def _seq_list(seqs, d):
 
 
 def _tensor_block(levels, seqs):
-    """Nodes (prod N, d) and weights (prod N,) of one tensor rule."""
+    """Nodes (prod N, d) and weights (prod N,) of one tensor rule.
+
+    Only the coordinates whose rule has more than one node are expanded;
+    the other columns hold their rule's single node.
+    """
     rules = [seqs[j].rule(lv) for j, lv in enumerate(levels)]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    pts = np.column_stack([g.reshape(-1) for g in grids])
-    w = rules[0].weights
-    for r in rules[1:]:
-        w = np.multiply.outer(w, r.weights)
-    return pts, np.asarray(w).reshape(-1)
+    wide = [j for j, r in enumerate(rules) if len(r) > 1]
+    single = math.prod(float(r.weights[0]) for r in rules if len(r) == 1)
+    pts = np.array([[r.nodes[0] for r in rules]])
+    w = np.array(single)
+    if wide:
+        grids = np.meshgrid(*[rules[j].nodes for j in wide], indexing="ij")
+        pts = np.repeat(pts, grids[0].size, axis=0)
+        for j, g in zip(wide, grids):
+            pts[:, j] = g.reshape(-1)
+            w = np.multiply.outer(w, rules[j].weights)
+    return pts, w.reshape(-1)
 
 
 def _evaluate(f, pts):
@@ -60,30 +81,67 @@ def _evaluate(f, pts):
     return vals
 
 
-def _delta_tensor_full(f, alpha, seqs):
-    """Difference-tensor value with its evaluation count and points."""
-    d = len(alpha)
-    seqs = _seq_list(seqs, d)
-    active = [j for j, a in enumerate(alpha) if a > 0]
-    blocks = []
-    for drops in itertools.product((0, 1), repeat=len(active)):
-        levels = list(alpha)
-        sign = 1.0
-        for j, drop in zip(active, drops):
-            if drop:
-                levels[j] -= 1
-                sign = -sign
-        pts, w = _tensor_block(levels, seqs)
-        blocks.append((sign, pts, w))
-    all_pts = np.vstack([pts for _, pts, _ in blocks])
-    vals = _evaluate(f, all_pts)
-    total = 0.0
+def _evaluate_grids(f, level_list, seqs):
+    """Evaluate ``f`` on the tensor grids of ``level_list`` in one call.
+
+    Returns the stacked points and, per grid, its weights and values.
+    """
+    blocks = [_tensor_block(levels, seqs) for levels in level_list]
+    pts = blocks[0][0] if len(blocks) == 1 else np.vstack([p for p, _ in blocks])
+    vals = _evaluate(f, pts)
+    grids = []
     offset = 0
-    for sign, pts, w in blocks:
+    for _, w in blocks:
         m = w.shape[0]
-        total += sign * float(w @ vals[offset : offset + m])
+        grids.append((w, vals[offset : offset + m]))
         offset += m
-    return total, all_pts.shape[0], all_pts
+    return pts, grids
+
+
+class _TensorValues:
+    """Tensor-rule values Q_beta = w_beta . f(grid beta), each computed once.
+
+    ``values`` maps a level tuple to (Q_beta, |grid beta|); ``points``
+    holds every node the integrand has seen, as row bytes.
+    """
+
+    def __init__(self, f, seqs):
+        self.f = f
+        self.seqs = seqs
+        self.values = {}
+        self.points = set()
+
+    def fill(self, level_list):
+        """Evaluate the grids of ``level_list`` not kept yet, in one call."""
+        missing = [levels for levels in level_list if levels not in self.values]
+        if not missing:
+            return
+        pts, grids = _evaluate_grids(self.f, missing, self.seqs)
+        for levels, (w, vals) in zip(missing, grids):
+            self.values[levels] = (float(w @ vals), w.shape[0])
+        row_bytes = np.dtype((np.void, pts.itemsize * pts.shape[1]))
+        self.points.update(np.ascontiguousarray(pts).view(row_bytes).ravel().tolist())
+
+    def delta(self, alpha):
+        """Difference value for ``alpha`` and the node count of its 2^k grids."""
+        active = [j for j, a in enumerate(alpha) if a > 0]
+        terms = []
+        for drops in itertools.product((0, 1), repeat=len(active)):
+            levels = list(alpha)
+            sign = 1.0
+            for j, drop in zip(active, drops):
+                if drop:
+                    levels[j] -= 1
+                    sign = -sign
+            terms.append((sign, tuple(levels)))
+        self.fill([levels for _, levels in terms])
+        total = 0.0
+        evals = 0
+        for sign, levels in terms:
+            value, size = self.values[levels]
+            total += sign * value
+            evals += size
+        return total, evals
 
 
 def delta_tensor(f, alpha, seqs):
@@ -96,10 +154,10 @@ def delta_tensor(f, alpha, seqs):
     Returns
     -------
     (value, evaluations)
-        The signed combination and the number of integrand evaluations.
+        The signed combination and the number of nodes of the 2^k grids.
     """
-    value, evals, _ = _delta_tensor_full(f, tuple(alpha), seqs)
-    return value, evals
+    alpha = tuple(alpha)
+    return _TensorValues(f, _seq_list(seqs, len(alpha))).delta(alpha)
 
 
 def total_degree_indices(d, q):
@@ -114,13 +172,17 @@ def total_degree_indices(d, q):
 
 
 def total_degree_quadrature(f, d, q, seqs):
-    """Sparse-grid quadrature over the index set {|alpha|_1 <= q}."""
+    """Sparse-grid quadrature over the index set {|alpha|_1 <= q}.
+
+    Every tensor grid of the index set is evaluated once, all in one
+    batched call.
+    """
     if q < 0:
         raise ValueError(f"total degree {q} is negative")
-    seqs = _seq_list(seqs, d)
-    return math.fsum(
-        delta_tensor(f, alpha, seqs)[0] for alpha in total_degree_indices(d, q)
-    )
+    indices = total_degree_indices(d, q)
+    tensor = _TensorValues(f, _seq_list(seqs, d))
+    tensor.fill(indices)
+    return math.fsum(tensor.delta(alpha)[0] for alpha in indices)
 
 
 @dataclass
@@ -132,7 +194,10 @@ class AdaptiveState:
     and ``contributions`` keeps the signed contribution of every index
     examined so far.  ``value`` is the accumulated quadrature sum over
     old and active indices, ``eta`` the global estimate sum(g) over the
-    active set.
+    active set.  ``evaluations`` counts the nodes of the 2^k difference
+    grids of every index, repeats included (the quantity ``max_evals``
+    caps); the integrand is called only on each index's own grid, and
+    ``distinct_points`` counts the distinct nodes it has seen.
     """
 
     dim: int
@@ -211,6 +276,12 @@ def adaptive_quadrature(
     once, so an integrand vanishing at the center cannot cause a
     spurious immediate return.
 
+    The index set stays downward closed, so when an index alpha is added
+    every tensor value below it is already kept: the integrand is called
+    once, on grid(alpha) alone, and the difference is formed from the
+    kept values.  ``state.evaluations`` still counts all 2^k difference
+    grids of each index, repeats included.
+
     Parameters
     ----------
     f : callable
@@ -222,8 +293,8 @@ def adaptive_quadrature(
     seqs : RuleSequence or sequence of RuleSequence
         Univariate rule sequence per coordinate (one shared or d many).
     max_evals : int
-        Budget of integrand evaluations; exceeding it raises
-        BudgetExhausted carrying the partial state.
+        Budget of difference-grid nodes (``state.evaluations``);
+        exceeding it raises BudgetExhausted carrying the partial state.
     trace : callable, optional
         Receives one formatted line per accepted index.
     audit : callable, optional
@@ -239,14 +310,12 @@ def adaptive_quadrature(
         raise ValueError(f"max_evals {max_evals} must be at least 1")
     seqs = _seq_list(seqs, d)
     state = AdaptiveState(dim=d)
-    seen_points = set()
+    tensor = _TensorValues(f, seqs)
 
     def add_index(alpha):
-        value, evals, pts = _delta_tensor_full(f, alpha, seqs)
+        value, evals = tensor.delta(alpha)
         state.evaluations += evals
-        for row in pts:
-            seen_points.add(row.tobytes())
-        state.distinct_points = len(seen_points)
+        state.distinct_points = len(tensor.points)
         g = abs(value)
         state.active[alpha] = g
         state.contributions[alpha] = value
@@ -308,9 +377,14 @@ def interpolant_total_degree(f, d, q=2, seq=None):
 
     Builds g = sum over |alpha|_1 <= q of tensorized interpolation
     differences on the one-per-level Gauss-Hermite grids (sizes 1, 3, 5
-    for the default q=2), returned as a batched callable.  The mean of
-    g under the standard normal equals the matching total-degree
-    quadrature of f, which is how it is computed.
+    for the default q=2), written in combination form as the sum of
+    c_alpha times the tensor interpolant on grid(alpha), and returns it
+    as a batched callable.  All grid values come from one integrand
+    call; the mean of g under the standard normal is the sum of
+    c_alpha Q_alpha over the same values, which equals the matching
+    total-degree quadrature of f.  ``g`` works through its points in
+    chunks of ``_ROW_CHUNK`` rows and builds each (coordinate, level)
+    Lagrange basis once per chunk.
 
     Returns
     -------
@@ -321,37 +395,42 @@ def interpolant_total_degree(f, d, q=2, seq=None):
         seq = gauss_hermite_sequence()
     seqs = _seq_list(seq, d)
 
-    terms = []
+    coefficients = {}
     for alpha in total_degree_indices(d, q):
         c = _combination_coefficient(d, q - sum(alpha))
-        if c == 0:
-            continue
-        pts, _ = _tensor_block(alpha, seqs)
-        vals = _evaluate(f, pts)
-        active = [j for j, a in enumerate(alpha) if a > 0]
-        shape = [len(seqs[j].rule(alpha[j])) for j in active]
-        grid_nodes = [seqs[j].rule(alpha[j]).nodes for j in active]
-        tensor = vals.reshape(shape) if active else float(vals[0])
-        terms.append((float(c), active, grid_nodes, tensor))
+        if c != 0:
+            coefficients[alpha] = float(c)
+    _, grids = _evaluate_grids(f, list(coefficients), seqs)
+
+    terms = []
+    nodes = {}
+    weighted = []
+    for (alpha, c), (w, vals) in zip(coefficients.items(), grids):
+        weighted.append(c * float(w @ vals))
+        keys = [(j, a) for j, a in enumerate(alpha) if len(seqs[j].rule(a)) > 1]
+        for j, a in keys:
+            nodes[(j, a)] = seqs[j].rule(a).nodes
+        terms.append((c, keys, vals.reshape([nodes[key].shape[0] for key in keys])))
 
     def g(points):
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[None, :]
-        out = np.zeros(points.shape[0])
-        for c, active, grid_nodes, tensor in terms:
-            if not active:
-                out += c * tensor
-                continue
-            part = tensor
-            for pos, j in enumerate(active):
-                basis = _lagrange_basis(grid_nodes[pos], points[:, j])
-                if pos == 0:
-                    part = np.tensordot(basis, part, axes=(1, 0))
-                else:
-                    part = np.einsum("mi,mi...->m...", basis, part)
-            out += c * part
+        out = np.empty(points.shape[0])
+        for lo in range(0, points.shape[0], _ROW_CHUNK):
+            x = points[lo : lo + _ROW_CHUNK]
+            basis = {key: _lagrange_basis(n, x[:, key[0]]) for key, n in nodes.items()}
+            acc = np.zeros(x.shape[0])
+            for c, keys, tensor in terms:
+                part = tensor
+                for pos, key in enumerate(keys):
+                    if pos == 0:
+                        rows = basis[key] @ part.reshape(part.shape[0], -1)
+                        part = rows.reshape((-1,) + part.shape[1:])
+                    else:
+                        part = np.einsum("mi,mi...->m...", basis[key], part)
+                acc += c * part
+            out[lo : lo + x.shape[0]] = acc
         return out
 
-    mean = total_degree_quadrature(f, d, q, seqs)
-    return g, mean
+    return g, math.fsum(weighted)

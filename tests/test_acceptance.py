@@ -3,7 +3,8 @@
 Every test prints a single pass/fail line with its headline numbers,
 then asserts.  Runtime guards are asserted where the criterion states
 one.  All instances and sample streams are fixed-seed, so reruns are
-bit-for-bit repeatable.
+bit-for-bit repeatable.  All of them carry the ``slow`` marker, so
+``pytest -m "not slow"`` leaves them out.
 """
 
 import math
@@ -11,10 +12,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from smoothquad import cli, linalg, models, pricing, rules1d
 from smoothquad.errors import BudgetExhausted
 from smoothquad.sampling import RngSpec
+
+pytestmark = pytest.mark.slow
 
 BUDGETS = [3 * 6**q for q in range(1, 9)]
 MODE_OFFSET = {"atm": 0, "itm": 1, "otm": 2}

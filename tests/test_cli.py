@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothquad
 from smoothquad import cli, models
 from smoothquad.errors import ConfigInvalid
 
@@ -265,6 +268,28 @@ class TestVgVerb:
         )
         assert cli.main(["vg", "--config", conf]) == 3
 
+    @pytest.mark.parametrize(
+        "methods, statuses",
+        [
+            (["MC+CS"], [("MC+CS", "ok")]),
+            (["MC+CS", "aSG+CS2"], [("MC+CS", "ok"), ("aSG+CS2", "DimensionTooLarge")]),
+        ],
+    )
+    def test_binary_search_only_for_cs2_rows(
+        self, tmp_path, monkeypatch, capsys, methods, statuses
+    ):
+        monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
+        text = "model = vg\nd = 26\nseed = 1\nbudgets = 18\ntol_schedule = 1e-1\n"
+        text += "".join(f"methods = {m}\n" for m in methods)
+        conf = write_config(tmp_path / "vg26.conf", text)
+        out = str(tmp_path / "vg26")
+        assert cli.main(["vg", "--config", conf, "--out", out]) == 0
+        assert "best v" not in capsys.readouterr().out
+        lines = (tmp_path / "vg26.csv").read_text(encoding="utf-8").strip().splitlines()
+        rows = [row.split(",") for row in lines[1:]]
+        assert [(r[0], r[-1]) for r in rows] == statuses
+        assert float(rows[0][2]) > 0.0
+
 
 class TestDecompVerb:
     def test_fixed_example_report(self, tmp_path, capsys):
@@ -335,11 +360,17 @@ class TestPlotVerb:
 class TestModuleEntryPoint:
     def test_python_dash_m_runs(self, tmp_path):
         conf = write_config(tmp_path / "p.conf", "example = ls15\n")
+        # the child imports the same smoothquad as this process, even when
+        # only pytest's own path setting put it on sys.path
+        package_root = str(Path(smoothquad.__file__).resolve().parent.parent)
+        path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         result = subprocess.run(
             [sys.executable, "-m", "smoothquad", "decomp", "--config", conf],
             capture_output=True,
             text=True,
             check=False,
+            env=env,
         )
         assert result.returncode == 0
         assert "0.00023 / 0.03432 / 0.00652" in result.stdout

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from smoothquad import linalg, models, pricing, sparsegrid
 from smoothquad.errors import BudgetExhausted, NonFiniteIntegrand
 from smoothquad.rules1d import gauss_hermite_sequence, genz_keister_sequence
 from smoothquad.sparsegrid import (
@@ -21,6 +22,21 @@ GH = gauss_hermite_sequence()
 
 def constant(c):
     return lambda z: np.full(z.shape[0], c)
+
+
+def counting(f):
+    """``f`` that records the row count of every call in ``.calls``."""
+
+    def wrapped(z):
+        wrapped.calls.append(z.shape[0])
+        return f(z)
+
+    wrapped.calls = []
+    return wrapped
+
+
+def grid_size(alpha, seq):
+    return math.prod(seq.size(a) for a in alpha)
 
 
 class TestDeltaTensor:
@@ -209,6 +225,49 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(constant(1.0), 2, 0.0, GH)
         with pytest.raises(ValueError):
             adaptive_quadrature(constant(1.0), 2, 1e-6, GH, max_evals=0)
+
+
+class TestTensorValuesKept:
+    """Each tensor grid reaches the integrand once; counts keep their meaning."""
+
+    def test_adaptive_calls_once_per_index_on_its_own_grid(self):
+        gk = genz_keister_sequence()
+        f = counting(lambda z: np.exp(0.3 * z[:, 0] - 0.2 * z[:, 1] + 0.1 * z[:, 2]))
+        _, _, state = adaptive_quadrature(f, 3, 1e-10, gk)
+        indices = state.old_set | set(state.active)
+        assert len(f.calls) == len(indices)
+        grids = sum(grid_size(alpha, gk) for alpha in indices)
+        assert sum(f.calls) == grids
+        assert grids < state.evaluations
+        assert state.distinct_points <= grids
+
+    def test_adaptive_counts_and_price_unchanged_at_d8(self):
+        prob = models.effective_bs(models.random_instance(8, 208, "atm"))
+        g = pricing.smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))
+        value, state = pricing.price_asg(g, 1e-6)
+        assert state.evaluations == 8645
+        assert state.distinct_points == 1247
+        assert abs(value / 1.7730058461361355 - 1.0) <= 1e-13
+
+    def test_total_degree_evaluates_each_grid_once(self):
+        f = counting(lambda z: np.exp(0.3 * z.sum(axis=1)))
+        total_degree_quadrature(f, 3, 3, GH)
+        grids = sum(grid_size(alpha, GH) for alpha in total_degree_indices(3, 3))
+        assert f.calls == [grids]
+
+    def test_interpolant_build_makes_one_call(self):
+        f = counting(lambda z: np.exp(0.3 * z.sum(axis=1)))
+        g, _ = interpolant_total_degree(f, 4)
+        assert len(f.calls) == 1
+        g(np.zeros((3, 4)))
+        assert len(f.calls) == 1
+
+    def test_interpolant_chunks_match_row_by_row(self):
+        f = lambda z: np.exp(0.3 * z[:, 0] - 0.5 * z[:, 1]) * np.cos(z[:, 2])
+        g, _ = interpolant_total_degree(f, 3)
+        pts = np.random.default_rng(3).normal(size=(sparsegrid._ROW_CHUNK + 37, 3))
+        rows = np.array([g(p)[0] for p in pts])
+        np.testing.assert_allclose(g(pts), rows, rtol=1e-14, atol=1e-14)
 
 
 class TestAdmissibility:
