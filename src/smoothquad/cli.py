@@ -219,23 +219,35 @@ def build_instance(cfg: ExperimentConfig):
     )
 
 
+def _partial_reference(exc: BudgetExhausted, tol: float) -> float:
+    """Partial value of a reference that ran out of budget, reported on stderr."""
+    state = exc.state
+    print(
+        f"reference not converged: BudgetExhausted at tol {tol:g}, "
+        f"eta {state.eta:.3e} after {state.evaluations} evaluations",
+        file=sys.stderr,
+    )
+    return state.value
+
+
 def _bs_reference(model) -> float:
     try:
         return pricing.reference_price(model)
     except BudgetExhausted as exc:
-        return exc.state.value
+        return _partial_reference(exc, pricing.reference_tolerance(model.d))
 
 
 def _vg_reference(model, tol_schedule, v=None) -> float:
     tol_min = min(tol_schedule)
     for factor in (100.0, 10.0, 1.0):
+        tol = tol_min / factor
         try:
-            value, _ = pricing.price_vg_smoothed(model, tol_min / factor, v=v)
+            value, _ = pricing.price_vg_smoothed(model, tol, v=v)
             return value
         except OrderOutOfRange:
             continue
         except BudgetExhausted as exc:
-            return exc.state.value
+            return _partial_reference(exc, tol)
     raise SmoothQuadError(
         f"no feasible reference tolerance at or below {tol_min}"
     )

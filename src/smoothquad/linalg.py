@@ -2,7 +2,9 @@
 
 ``rank_one_reduce`` splits a covariance into the smoothing direction
 ``v`` and a positive semidefinite remainder, ``lambda1_sq`` scores one
-direction and ``best_binary_v`` searches the binary ones.  The Cholesky
+direction and ``best_binary_v`` searches all 2^d binary ones, enumerating
+each half of the coordinates once and joining the halves with one
+matrix product per block of bit patterns.  The Cholesky
 factor and the eigendecomposition are numpy's LAPACK calls; eigenvector
 signs are fixed by a rule because LAPACK leaves them arbitrary.
 Dimension is capped at 35.
@@ -16,6 +18,8 @@ from .errors import DimensionTooLarge, NotPositiveDefinite, ZeroVector
 
 MAX_DIM = 35
 MAX_ENUM_DIM = 25
+# entries of one block of the binary search (512 KB of float64)
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,26 @@ def rank_one_reduce(sigma, v=None) -> SmoothingDecomposition:
     return SmoothingDecomposition(V=V, lambda_sq=lambda_sq, v=v)
 
 
+def _bit_rows(n: int) -> np.ndarray:
+    """All of ``{0,1}^n`` as rows; row ``m`` holds the bits of ``m``."""
+    m = np.arange(1 << n, dtype=np.uint32)
+    return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+
+
 def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     """Binary direction with the largest captured variance.
 
-    Enumerates every nonzero ``v`` in ``{0,1}^d`` and maximizes
-    ``lambda1_sq(sigma, v)``.  Ties are broken towards the smallest
+    Minimizes ``q(m) = <b, P b>`` with ``P = sigma^-1`` over the bits
+    ``b`` of every nonzero integer ``m < 2^d``, i.e. maximizes
+    ``lambda1_sq(sigma, v)`` over ``v`` in ``{0,1}^d``.  The coordinates
+    split into a low half of ``n_l = ceil(d/2)`` bits and a high half of
+    ``d - n_l``; with ``m = (h << n_l) | l``,
+    ``q(m) = q_h[h] + q_l[l] + (B_h M)[h, l]``, where ``B_l`` and ``B_h``
+    enumerate each half once, ``q_l`` and ``q_h`` are their own
+    quadratic forms and ``M = 2 P_hl B_l^T``.  Blocks of consecutive
+    ``h`` cost one matrix product each.  Row-major order over
+    ``(h, l)`` is increasing ``m``, so the flat argmin of a block and a
+    strict comparison across blocks break ties towards the smallest
     integer whose bit ``i`` equals ``v_i``.
 
     Raises
@@ -183,19 +202,24 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     Linv = _inv_factor(sigma)
     P = Linv.T @ Linv
 
-    bits = np.arange(n, dtype=np.uint32)
+    n_l = (n + 1) // 2
+    B_l, B_h = _bit_rows(n_l), _bit_rows(n - n_l)
+    q_l = np.einsum("ij,ij->i", B_l @ P[:n_l, :n_l], B_l)
+    q_h = np.einsum("ij,ij->i", B_h @ P[n_l:, n_l:], B_h)
+    M = 2.0 * P[n_l:, :n_l] @ B_l.T
+    rows = max(1, _BLOCK_ENTRIES >> n_l)
     best_q = np.inf
     best_m = -1
-    chunk = 1 << 16
-    for start in range(1, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        ms = np.arange(start, stop, dtype=np.uint32)
-        B = ((ms[:, None] >> bits[None, :]) & 1).astype(float)
-        quad = np.einsum("ij,ij->i", B @ P, B)
+    for h0 in range(0, B_h.shape[0], rows):
+        quad = B_h[h0 : h0 + rows] @ M
+        quad += q_h[h0 : h0 + rows, None]
+        quad += q_l
+        if h0 == 0:
+            quad[0, 0] = np.inf  # m = 0 is not a direction
         k = int(np.argmin(quad))
         # strict comparison keeps the smallest integer on exact ties
-        if quad[k] < best_q:
-            best_q = float(quad[k])
-            best_m = int(ms[k])
-    v = ((best_m >> bits) & 1).astype(float)
+        if quad.flat[k] < best_q:
+            best_q = float(quad.flat[k])
+            best_m = (h0 << n_l) + k
+    v = ((best_m >> np.arange(n)) & 1).astype(float)
     return v, 1.0 / best_q

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import smoothquad
-from smoothquad import cli, models
-from smoothquad.errors import ConfigInvalid
+from smoothquad import cli, linalg, models, pricing
+from smoothquad.errors import BudgetExhausted, ConfigInvalid
+from smoothquad.sparsegrid import AdaptiveState
 
 
 def write_config(path, text):
@@ -291,6 +292,53 @@ class TestVgVerb:
         assert float(rows[0][2]) > 0.0
 
 
+class TestReferenceBudget:
+    """A reference that runs out of budget keeps its partial value and
+    says so on stderr."""
+
+    VALUE = 0.123456789
+    CONFIGS = {
+        "converge": (BS2_SWEEP, "reference_price"),
+        "vg": (
+            "model = vg\nd = 2\nseed = 5\nmethods = MC+CS\nbudgets = 18\n"
+            "tol_schedule = 1e-2\n",
+            "price_vg_smoothed",
+        ),
+    }
+
+    def run(self, tmp_path, capsys, monkeypatch, verb, pricer):
+        text, name = self.CONFIGS[verb]
+        monkeypatch.setattr(pricing, name, pricer)
+        conf = write_config(tmp_path / f"{verb}.conf", text)
+        out = str(tmp_path / verb)
+        code = cli.main([verb, "--config", conf, "--out", out])
+        csv_text = (tmp_path / f"{verb}.csv").read_text(encoding="utf-8")
+        captured = capsys.readouterr()
+        return code, strip_seconds(csv_text), captured.out, captured.err
+
+    @pytest.mark.parametrize("verb", ["converge", "vg"])
+    def test_partial_reference_is_reported(self, tmp_path, capsys, monkeypatch, verb):
+        converged = self.VALUE if verb == "converge" else (self.VALUE, None)
+        state = AdaptiveState(dim=2, value=self.VALUE, eta=3.5e-6, evaluations=4321)
+
+        def exhausted(*args, **kwargs):
+            raise BudgetExhausted("4321 evaluations exceed budget 4000", state=state)
+
+        code, csv_ok, out_ok, err_ok = self.run(
+            tmp_path, capsys, monkeypatch, verb, lambda *a, **k: converged
+        )
+        assert code == 0 and "not converged" not in err_ok
+        code, csv_text, out, err = self.run(tmp_path, capsys, monkeypatch, verb, exhausted)
+        assert code == 0
+        assert csv_text == csv_ok
+        assert out == out_ok
+        tol = pricing.reference_tolerance(2) if verb == "converge" else 1e-4
+        assert err == (
+            f"reference not converged: BudgetExhausted at tol {tol:g}, "
+            "eta 3.500e-06 after 4321 evaluations\n"
+        )
+
+
 class TestDecompVerb:
     def test_fixed_example_report(self, tmp_path, capsys):
         conf = write_config(tmp_path / "d.conf", "example = ls15\n")
@@ -304,6 +352,14 @@ class TestDecompVerb:
         cfg = cli.parse_config(conf)
         report = cli.report_decomposition(cfg)
         assert report.count("/") >= 3
+
+    def test_best_v_at_the_search_cap(self, tmp_path, capsys):
+        conf = write_config(tmp_path / "d.conf", "model = bs\nd = 25\nseed = 2\n")
+        assert cli.main(["decomp", "--config", conf]) == 0
+        out = capsys.readouterr().out
+        sigma = models.effective_bs(models.random_instance(25, 2)).Sigma
+        v, _ = linalg.best_binary_v(sigma)
+        assert f"best v: {v.astype(int).tolist()}\n" in out
 
 
 class TestPriceVerb:

@@ -209,26 +209,78 @@ class TestRankOneReduce:
             linalg.rank_one_reduce(np.eye(36))
 
 
+def _single_loop_best_binary_v(sigma):
+    """The search as one loop over all 2^d patterns, 2^16 at a time."""
+    n = sigma.shape[0]
+    Linv = np.linalg.inv(np.linalg.cholesky(sigma))
+    P = Linv.T @ Linv
+
+    bits = np.arange(n, dtype=np.uint32)
+    best_q = np.inf
+    best_m = -1
+    chunk = 1 << 16
+    for start in range(1, 1 << n, chunk):
+        stop = min(start + chunk, 1 << n)
+        ms = np.arange(start, stop, dtype=np.uint32)
+        B = ((ms[:, None] >> bits[None, :]) & 1).astype(float)
+        quad = np.einsum("ij,ij->i", B @ P, B)
+        k = int(np.argmin(quad))
+        # strict comparison keeps the smallest integer on exact ties
+        if quad[k] < best_q:
+            best_q = float(quad[k])
+            best_m = int(ms[k])
+    v = ((best_m >> bits) & 1).astype(float)
+    return v, 1.0 / best_q
+
+
 class TestBestBinaryV:
     def test_identity_tie_break(self):
         v, lam = linalg.best_binary_v(np.eye(4))
         np.testing.assert_array_equal(v, [1, 0, 0, 0])
         assert lam == pytest.approx(1.0)
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
+        # d from 2 to 12 covers odd and even splits; the tiny block size
+        # makes the sweep cross many blocks
         rng = np.random.default_rng(47)
         for _ in range(20):
-            d = int(rng.integers(2, 7))
+            d = int(rng.integers(2, 13))
             sigma = random_spd(rng, d, jitter=0.3)
-            v, lam = linalg.best_binary_v(sigma)
             best = None
             for m in range(1, 2**d):
                 cand = np.array([(m >> i) & 1 for i in range(d)], dtype=float)
                 val = linalg.lambda1_sq(sigma, cand)
                 if best is None or val > best[1] + 1e-15:
                     best = (cand, val)
-            assert lam == pytest.approx(best[1], rel=1e-10)
-            np.testing.assert_array_equal(v, best[0])
+            for entries in (linalg._BLOCK_ENTRIES, 8):
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+                    v, lam = linalg.best_binary_v(sigma)
+                assert lam == pytest.approx(best[1], rel=1e-10)
+                np.testing.assert_array_equal(v, best[0])
+
+    def test_tie_in_high_half(self):
+        # e_20 and e_24 tie exactly; both bits lie in the high half
+        sigma = np.eye(25)
+        sigma[20, 20] = sigma[24, 24] = 2.0
+        v, lam = linalg.best_binary_v(sigma)
+        np.testing.assert_array_equal(v, np.eye(25)[20])
+        assert lam == pytest.approx(2.0, rel=1e-14)
+
+    def test_one_dimension(self):
+        # the high half is empty
+        v, lam = linalg.best_binary_v(np.array([[0.04]]))
+        np.testing.assert_array_equal(v, [1.0])
+        assert lam == pytest.approx(0.04, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [16, 20])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_single_loop_enumeration(self, d, seed):
+        sigma = models.effective_bs(models.random_instance(d, seed)).Sigma
+        v, lam = linalg.best_binary_v(sigma)
+        v_ref, lam_ref = _single_loop_best_binary_v(sigma)
+        np.testing.assert_array_equal(v, v_ref)
+        assert lam == pytest.approx(lam_ref, rel=1e-13)
 
     def test_lower_bound_smallest_eigenvalue(self):
         # the best binary direction is never worse than the smallest
