@@ -271,6 +271,12 @@ def _bs_row_tasks(cfg, model, trace):
     g_cs = pricing.smoothed_integrand(prob, dec)
     seed = cfg.seed if cfg.seed is not None else 0
     tasks = []
+    # built once, in the first control-variate row, so a failure is that row's status
+    control_variate = functools.cache(lambda: pricing.control_variate(g_cs))
+
+    def with_cv(sample):
+        residual, mean = control_variate()
+        return mean + sample(residual)
 
     def estimator(method):
         if method == "MC":
@@ -282,13 +288,9 @@ def _bs_row_tasks(cfg, model, trace):
         if method == "QMC+CS":
             return lambda n: pricing.price_qmc(g_cs, n)
         if method == "MC+CS+CV":
-            return lambda n: _median_of_runs(
-                lambda run: pricing.price_cv(
-                    g_cs, n, mode="mc", rng=RngSpec(seed, stream_id=run)
-                )
-            )
+            return lambda n: with_cv(lambda f: pricing.price_mc(f, n, RngSpec(seed))[0])
         if method == "QMC+CS+CV":
-            return lambda n: pricing.price_cv(g_cs, n, mode="qmc")
+            return lambda n: with_cv(lambda f: pricing.price_qmc(f, n))
         raise ConfigInvalid(f"method {method} is not a sampling method")
 
     def adaptive(method):

@@ -64,14 +64,6 @@ class EstimateRecord:
     status: str = "ok"
 
 
-def norm_cdf(x):
-    """Standard normal distribution function, accurate to 1e-14."""
-    out = ndtr(x)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def _bs_call_core(s0, k, sigma):
     """Vectorized zero-rate Black-Scholes call with guarded branches.
 
@@ -274,6 +266,10 @@ def price_asg(
     Defaults to the nested Genz-Keister sequence in every dimension,
     which keeps the distinct-point count low on smooth integrands.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance {tol} must be positive")
+    if max_evals < 1:
+        raise ValueError(f"max_evals {max_evals} must be at least 1")
     if integrand.dim == 0:
         value = float(np.asarray(integrand(np.zeros((1, 0))))[0])
         state = AdaptiveState(dim=0, old_set={()}, value=value)
@@ -288,41 +284,46 @@ def price_asg(
     return value, state
 
 
+def control_variate(integrand: Integrand):
+    """Residual f - g of the interpolation control variate, and E[g(Z)].
+
+    g is the total-degree-2 sparse-grid interpolant of the integrand,
+    built once; its Gaussian mean is exact, so the mean of the residual
+    under any sampler plus ``mean`` estimates the price.
+    """
+    g, mean = interpolant_total_degree(integrand, integrand.dim)
+
+    def residual(points):
+        return np.asarray(integrand(points), dtype=float) - g(points)
+
+    return Integrand(dim=integrand.dim, func=residual, label=f"{integrand.label}-CV"), mean
+
+
 def price_cv(
     integrand: Integrand,
     n: int,
     mode: str = "mc",
     rng: Optional[RngSpec] = None,
-    level: int = 2,
 ) -> float:
     """Control-variate price: exact interpolant mean plus residual mean.
 
-    Builds the total-degree sparse-grid interpolant g of the integrand,
-    takes its Gaussian mean exactly, and samples only the residual
-    f - g with unit coefficient.  Integrands inside the interpolation
-    space are priced with zero sampling error.
+    Samples only the residual of :func:`control_variate` with unit
+    coefficient, over one Monte Carlo stream (``mode="mc"``, seeded by
+    ``rng``) or the Sobol points (``mode="qmc"``).  Integrands inside
+    the interpolation space are priced with zero sampling error.
     """
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
+    if mode not in ("mc", "qmc"):
+        raise ValueError(f"unknown sampling mode {mode!r}")
+    if mode == "mc" and rng is None:
+        raise ValueError("mc mode needs an rng specification")
     if integrand.dim == 0:
         return float(np.asarray(integrand(np.zeros((1, 0))))[0])
-    g, mean = interpolant_total_degree(integrand, integrand.dim, q=level)
-
-    def residual(points):
-        return np.asarray(integrand(points), dtype=float) - np.asarray(
-            g(points), dtype=float
-        )
-
-    if mode == "mc":
-        if rng is None:
-            raise ValueError("mc mode needs an rng specification")
-        sampler = _normal_sampler(rng.generator(), integrand.dim)
-    elif mode == "qmc":
-        stream = SobolStream(integrand.dim)
-        sampler = lambda m: inv_norm_cdf(stream.points(m))
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return mean + _mean_se_of(residual, sampler, n)[0]
+    residual, mean = control_variate(integrand)
+    if mode == "qmc":
+        return mean + price_qmc(residual, n)
+    return mean + mc_mean_se(residual, n, rng)[0]
 
 
 def _vg_forward_weights(model):

@@ -205,10 +205,6 @@ class RuleSequence:
             return genz_keister(level)
         return gauss_laguerre_generalized(self.size(level), self.alpha)
 
-    def center(self) -> float:
-        """Node of the one-point level-0 rule."""
-        return float(self.rule(0).nodes[0])
-
 
 def gauss_hermite_sequence() -> RuleSequence:
     """Gauss-Hermite sequence with sizes 1, 3, 5, ... (2j+1)."""

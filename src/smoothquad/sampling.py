@@ -83,24 +83,6 @@ class SobolStream:
         return out.astype(np.float64) * _SCALE
 
 
-def sobol_points(dim: int, n: int, skip: int = 1) -> np.ndarray:
-    """First ``n`` Sobol points of the given dimension.
-
-    Parameters
-    ----------
-    dim : int
-        Coordinate count, at most 64.
-    n : int
-        Number of points.
-    skip : int
-        Sequence indices to drop from the front.  The default of one
-        drops the all-zeros point so coordinates are strictly positive;
-        pass zero for the raw sequence (whose aligned 2^k blocks carry
-        the dyadic stratification property).
-    """
-    return SobolStream(dim, start=skip).points(n)
-
-
 def inv_norm_cdf(p):
     """Quantile of the standard normal distribution (``scipy.special.ndtri``).
 
@@ -135,26 +117,3 @@ class RngSpec:
     def stream(self, stream_id: int) -> "RngSpec":
         """Same base seed, different stream."""
         return replace(self, stream_id=stream_id)
-
-
-def normal_vector(rng: RngSpec, dim: int) -> np.ndarray:
-    """``dim`` independent standard normal draws, fixed by the spec."""
-    if dim < 0:
-        raise ValueError(f"dimension {dim} is negative")
-    return rng.generator().standard_normal(dim)
-
-
-def gamma_sample(rng: RngSpec, shape: float, scale: float, n: int | None = None):
-    """Gamma(shape, scale) draws with mean shape*scale.
-
-    Returns a float when ``n`` is None, else a vector of ``n``
-    independent samples.  Deterministic in the spec.
-    """
-    if not shape > 0.0:
-        raise ValueError(f"gamma shape {shape} must be positive")
-    if not scale > 0.0:
-        raise ValueError(f"gamma scale {scale} must be positive")
-    gen = rng.generator()
-    if n is None:
-        return float(gen.gamma(shape, scale))
-    return gen.gamma(shape, scale, size=n)

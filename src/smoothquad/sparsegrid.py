@@ -20,6 +20,11 @@ difference were evaluated on its own; it is what ``max_evals`` caps.
 The integrand itself is called on sum over alpha of |grid(alpha)|
 points, once per new tensor grid, and ``distinct_points`` counts the
 distinct nodes among them.
+
+The total-degree-2 interpolant behind the control variate is kept as a
+closed-form polynomial in which each term touches at most two
+coordinates: monomial coefficients from one integrand call, evaluated
+by two matrix products per block of rows.
 """
 
 import heapq
@@ -33,7 +38,7 @@ from .errors import BudgetExhausted, NonFiniteIntegrand
 from .rules1d import RuleSequence, gauss_hermite_sequence
 
 DEFAULT_MAX_EVALS = 10**7
-# rows per block of the interpolant's Lagrange bases
+# rows per block of the interpolant's power tables
 _ROW_CHUNK = 2048
 
 
@@ -361,56 +366,63 @@ def _combination_coefficient(d, r):
     return (-1) ** r * math.comb(d - 1, r)
 
 
-def _lagrange_basis(nodes, x):
-    """Values of the Lagrange cardinal polynomials, shape (len(x), N)."""
-    n = nodes.shape[0]
-    basis = np.ones((x.shape[0], n))
-    for i in range(n):
-        for k in range(n):
-            if k != i:
-                basis[:, i] *= (x - nodes[k]) / (nodes[i] - nodes[k])
-    return basis
+def interpolant_total_degree(f, d, q=2):
+    """Total-degree-2 sparse-grid interpolant and its exact Gaussian mean.
 
+    The interpolant is the sum over |alpha|_1 <= 2 of tensorized
+    interpolation differences on the one-per-level Gauss-Hermite grids
+    (sizes 1, 3, 5), written in combination form as the sum of c_alpha
+    times the tensor interpolant on grid(alpha).  Each term touches at
+    most two coordinates, so it is the closed-form polynomial
 
-def interpolant_total_degree(f, d, q=2, seq=None):
-    """Total-degree sparse-grid interpolant and its exact Gaussian mean.
+        g(x) = c + sum_j p_j(x_j) + sum_{j<k} p_jk(x_j, x_k),
 
-    Builds g = sum over |alpha|_1 <= q of tensorized interpolation
-    differences on the one-per-level Gauss-Hermite grids (sizes 1, 3, 5
-    for the default q=2), written in combination form as the sum of
-    c_alpha times the tensor interpolant on grid(alpha), and returns it
-    as a batched callable.  All grid values come from one integrand
-    call; the mean of g under the standard normal is the sum of
-    c_alpha Q_alpha over the same values, which equals the matching
-    total-degree quadrature of f.  ``g`` works through its points in
-    chunks of ``_ROW_CHUNK`` rows and builds each (coordinate, level)
-    Lagrange basis once per chunk.
+    with p_j of degree <= 4 and p_jk of degree <= 2 in each variable.
+    All grid values come from one integrand call and become monomial
+    coefficients through the inverse Vandermonde matrices of the 3- and
+    5-node rules: a constant, a (5, d) array over the powers x_j^0 ...
+    x_j^4 and a (3d, 3d) matrix over the stacked powers x_j^0, x_j^1,
+    x_j^2 (power-major, so entry p d + j is x_j^p).  ``g`` is then two
+    matrix products per block of ``_ROW_CHUNK`` rows.  The mean of g
+    under the standard normal is the sum of c_alpha Q_alpha over the
+    same values, which equals the matching total-degree quadrature of f.
+    Only ``q`` = 2 is supported.
 
     Returns
     -------
     (g, mean)
         ``g`` maps an (n, d) array to n values; ``mean`` is E[g(Z)].
     """
-    if seq is None:
-        seq = gauss_hermite_sequence()
-    seqs = _seq_list(seq, d)
-
+    if q != 2:
+        raise ValueError(f"total degree {q} is not supported; only 2 is")
     coefficients = {}
     for alpha in total_degree_indices(d, q):
         c = _combination_coefficient(d, q - sum(alpha))
         if c != 0:
             coefficients[alpha] = float(c)
-    _, grids = _evaluate_grids(f, list(coefficients), seqs)
+    seq = gauss_hermite_sequence()
+    _, grids = _evaluate_grids(f, list(coefficients), _seq_list(seq, d))
 
-    terms = []
-    nodes = {}
+    # nodal values to monomial coefficients, for the 3- and 5-node rules
+    inverse = {
+        lv: np.linalg.inv(np.vander(seq.rule(lv).nodes, increasing=True)) for lv in (1, 2)
+    }
+    const = 0.0
+    single = np.zeros((5, d))
+    pair = np.zeros((3 * d, 3 * d))
     weighted = []
     for (alpha, c), (w, vals) in zip(coefficients.items(), grids):
         weighted.append(c * float(w @ vals))
-        keys = [(j, a) for j, a in enumerate(alpha) if len(seqs[j].rule(a)) > 1]
-        for j, a in keys:
-            nodes[(j, a)] = seqs[j].rule(a).nodes
-        terms.append((c, keys, vals.reshape([nodes[key].shape[0] for key in keys])))
+        wide = [j for j, a in enumerate(alpha) if a > 0]
+        if not wide:
+            const += c * vals[0]
+        elif len(wide) == 1:
+            j = wide[0]
+            single[: 2 * alpha[j] + 1, j] += c * (inverse[alpha[j]] @ vals)
+        else:
+            j, k = wide
+            pair[j::d, k::d] += c * (inverse[1] @ vals.reshape(3, 3) @ inverse[1].T)
+    single = single.reshape(-1)
 
     def g(points):
         points = np.asarray(points, dtype=float)
@@ -419,18 +431,11 @@ def interpolant_total_degree(f, d, q=2, seq=None):
         out = np.empty(points.shape[0])
         for lo in range(0, points.shape[0], _ROW_CHUNK):
             x = points[lo : lo + _ROW_CHUNK]
-            basis = {key: _lagrange_basis(n, x[:, key[0]]) for key, n in nodes.items()}
-            acc = np.zeros(x.shape[0])
-            for c, keys, tensor in terms:
-                part = tensor
-                for pos, key in enumerate(keys):
-                    if pos == 0:
-                        rows = basis[key] @ part.reshape(part.shape[0], -1)
-                        part = rows.reshape((-1,) + part.shape[1:])
-                    else:
-                        part = np.einsum("mi,mi...->m...", basis[key], part)
-                acc += c * part
-            out[lo : lo + x.shape[0]] = acc
+            x2 = x * x
+            powers = np.hstack([np.ones_like(x), x, x2, x2 * x, x2 * x2])
+            low = powers[:, : 3 * d]
+            quad = np.einsum("mi,mi->m", low @ pair, low)
+            out[lo : lo + x.shape[0]] = const + powers @ single + quad
         return out
 
     return g, math.fsum(weighted)

@@ -9,6 +9,7 @@ import pytest
 import smoothquad
 from smoothquad import cli, linalg, models, pricing
 from smoothquad.errors import BudgetExhausted, ConfigInvalid
+from smoothquad.sampling import RngSpec
 from smoothquad.sparsegrid import AdaptiveState
 
 
@@ -209,6 +210,43 @@ class TestConvergeVerb:
             ("aSG+CS2", "DimensionTooLarge"),
         ]
         assert float(rows[0][2]) > 0.0
+
+    def test_control_variate_built_once_per_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
+        builds = []
+        build = pricing.interpolant_total_degree
+
+        def counted(*args, **kwargs):
+            builds.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pricing, "interpolant_total_degree", counted)
+        conf = write_config(
+            tmp_path / "cv.conf",
+            "model = bs\nd = 4\nseed = 5\nmethods = MC+CS+CV\nmethods = QMC+CS+CV\n"
+            "budgets = 18\nbudgets = 108\n",
+        )
+        assert cli.main(["converge", "--config", conf, "--out", str(tmp_path / "cv")]) == 0
+        assert builds == [3]
+        lines = (tmp_path / "cv.csv").read_text(encoding="utf-8").strip().splitlines()
+        rows = [row.split(",") for row in lines[1:]]
+        assert [(r[0], r[1], r[-1]) for r in rows] == [
+            ("MC+CS+CV", "18", "ok"),
+            ("MC+CS+CV", "108", "ok"),
+            ("QMC+CS+CV", "18", "ok"),
+            ("QMC+CS+CV", "108", "ok"),
+        ]
+        prob = models.effective_bs(models.random_instance(4, 5, "atm"))
+        g = pricing.smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))
+        for method, n, estimate, *_ in rows:
+            if method == "MC+CS+CV":
+                runs = [
+                    pricing.price_cv(g, int(n), mode="mc", rng=RngSpec(5, stream_id=r))
+                    for r in range(20)
+                ]
+                assert abs(float(estimate) / float(np.median(runs)) - 1.0) <= 1e-14
+            else:
+                assert float(estimate) == pricing.price_cv(g, int(n), mode="qmc")
 
     def test_seed_override_changes_rows(self, tmp_path):
         base = self.run_sweep(tmp_path, "base")

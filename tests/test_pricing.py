@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from smoothquad import linalg, models, pricing, rules1d
 from smoothquad.errors import OutOfDomain
@@ -11,7 +12,7 @@ from smoothquad.sampling import RngSpec
 def bs_price(s0, k, sigma):
     d1 = (math.log(s0 / k) + 0.5 * sigma * sigma) / sigma
     d2 = d1 - sigma
-    return pricing.norm_cdf(d1) * s0 - pricing.norm_cdf(d2) * k
+    return ndtr(d1) * s0 - ndtr(d2) * k
 
 
 def smoothing_parts(model, v=None):
@@ -22,24 +23,24 @@ def smoothing_parts(model, v=None):
 
 class TestNormCdf:
     def test_center_and_symmetry(self):
-        assert pricing.norm_cdf(0.0) == 0.5
+        assert ndtr(0.0) == 0.5
         for x in (0.3, 1.0, 2.5):
             np.testing.assert_allclose(
-                pricing.norm_cdf(x) + pricing.norm_cdf(-x), 1.0, rtol=1e-15
+                ndtr(x) + ndtr(-x), 1.0, rtol=1e-15
             )
 
     def test_reference_value(self):
         np.testing.assert_allclose(
-            pricing.norm_cdf(1.96), 0.9750021048517795, rtol=1e-14
+            ndtr(1.96), 0.9750021048517795, rtol=1e-14
         )
 
     def test_scalar_comes_back_as_float(self):
-        out = pricing.norm_cdf(0.7)
+        out = ndtr(0.7)
         assert isinstance(out, float)
 
     def test_array_input(self):
         x = np.array([-1.0, 0.0, 1.0])
-        out = pricing.norm_cdf(x)
+        out = ndtr(x)
         assert out.shape == (3,)
         np.testing.assert_allclose(out[1], 0.5, rtol=1e-15)
 
@@ -358,6 +359,13 @@ class TestAdaptiveSparseGrid:
         assert value == 1.5
         assert state.evaluations == 1
 
+    def test_zero_dimension_still_validates(self):
+        g = pricing.Integrand(dim=0, func=lambda p: np.full(len(p), 1.5), label="c")
+        with pytest.raises(ValueError):
+            pricing.price_asg(g, -1.0)
+        with pytest.raises(ValueError):
+            pricing.price_asg(g, 1e-3, max_evals=0)
+
 
 class TestControlVariate:
     def quadratic(self, dim):
@@ -412,6 +420,11 @@ class TestControlVariate:
             pricing.price_cv(f, 10, mode="mc")
         with pytest.raises(ValueError):
             pricing.price_cv(f, 10, mode="latin")
+        dim0 = pricing.Integrand(dim=0, func=lambda p: np.full(len(p), 0.75), label="c")
+        with pytest.raises(ValueError):
+            pricing.price_cv(dim0, 10, mode="latin")
+        with pytest.raises(ValueError):
+            pricing.price_cv(dim0, 10, mode="mc")
 
 
 class TestVarianceGamma:

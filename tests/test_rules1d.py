@@ -212,9 +212,9 @@ class TestRuleSequences:
             assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
     def test_center_is_level_zero_node(self):
-        assert rules1d.gauss_hermite_sequence().center() == 0.0
-        assert rules1d.genz_keister_sequence().center() == 0.0
-        assert rules1d.laguerre_sequence(0.25).center() == pytest.approx(1.25)
+        assert rules1d.gauss_hermite_sequence().rule(0).nodes[0] == 0.0
+        assert rules1d.genz_keister_sequence().rule(0).nodes[0] == 0.0
+        assert rules1d.laguerre_sequence(0.25).rule(0).nodes[0] == pytest.approx(1.25)
 
     def test_rules_are_immutable(self):
         r = rules1d.gauss_hermite(3)

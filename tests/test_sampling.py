@@ -10,26 +10,26 @@ from smoothquad.errors import DimensionTooLarge, OutOfDomain
 class TestSobol:
     def test_first_point_is_center(self):
         np.testing.assert_array_equal(
-            sampling.sobol_points(3, 1), [[0.5, 0.5, 0.5]]
+            sampling.SobolStream(3).points(1), [[0.5, 0.5, 0.5]]
         )
 
     def test_first_three_points_dim2(self):
-        pts = sampling.sobol_points(2, 3)
+        pts = sampling.SobolStream(2).points(3)
         np.testing.assert_array_equal(
             pts, [[0.5, 0.5], [0.75, 0.25], [0.25, 0.75]]
         )
 
     def test_points_strictly_inside_unit_cube(self):
-        pts = sampling.sobol_points(8, 4096)
+        pts = sampling.SobolStream(8).points(4096)
         assert np.all(pts > 0.0) and np.all(pts < 1.0)
 
     def test_dyadic_stratification(self):
-        # aligned blocks of the raw sequence (skip=0) put exactly one
+        # aligned blocks of the raw sequence (start 0) put exactly one
         # point in every dyadic interval, in every coordinate
         for dim in (1, 2, 8):
             for k in (1, 4, 8, 12):
                 n = 2**k
-                pts = sampling.sobol_points(dim, n, skip=0)
+                pts = sampling.SobolStream(dim, start=0).points(n)
                 cells = np.floor(pts * n).astype(int)
                 for j in range(dim):
                     np.testing.assert_array_equal(
@@ -39,17 +39,17 @@ class TestSobol:
     def test_stream_chunks_match_one_shot(self):
         stream = sampling.SobolStream(5)
         chunks = np.vstack([stream.points(7), stream.points(93)])
-        np.testing.assert_array_equal(chunks, sampling.sobol_points(5, 100))
+        np.testing.assert_array_equal(chunks, sampling.SobolStream(5).points(100))
         assert stream.next_index == 101
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
-            sampling.sobol_points(65, 1)
+            sampling.SobolStream(65).points(1)
         with pytest.raises(DimensionTooLarge):
             sampling.SobolStream(0)
 
     def test_max_dimension_works(self):
-        pts = sampling.sobol_points(64, 16)
+        pts = sampling.SobolStream(64).points(16)
         assert pts.shape == (16, 64)
         assert np.all((pts > 0.0) & (pts < 1.0))
 
@@ -106,26 +106,26 @@ class TestInvNormCdf:
 class TestRngStreams:
     def test_normal_vector_deterministic(self):
         spec = sampling.RngSpec(base_seed=42, stream_id=3)
-        first = sampling.normal_vector(spec, 16)
-        second = sampling.normal_vector(spec, 16)
+        first = spec.generator().standard_normal(16)
+        second = spec.generator().standard_normal(16)
         np.testing.assert_array_equal(first, second)
 
     def test_streams_are_distinct(self):
         spec = sampling.RngSpec(base_seed=42)
-        a = sampling.normal_vector(spec, 16)
-        b = sampling.normal_vector(spec.stream(1), 16)
+        a = spec.generator().standard_normal(16)
+        b = spec.stream(1).generator().standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_empty_vector(self):
-        assert sampling.normal_vector(sampling.RngSpec(1), 0).shape == (0,)
+        assert sampling.RngSpec(1).generator().standard_normal(0).shape == (0,)
 
     def test_normal_moments(self):
-        z = sampling.normal_vector(sampling.RngSpec(7), 10**6)
+        z = sampling.RngSpec(7).generator().standard_normal(10**6)
         assert abs(z.mean()) <= 4e-3
         assert abs(z.var() - 1.0) <= 0.01
 
     def test_gamma_moments(self):
-        g = sampling.gamma_sample(sampling.RngSpec(11), 2.0, 0.5, n=10**6)
+        g = sampling.RngSpec(11).generator().gamma(2.0, 0.5, 10**6)
         assert g.mean() == pytest.approx(1.0, abs=5e-3)
         assert g.var() == pytest.approx(0.5, abs=0.01)
         assert np.all(g > 0.0)
@@ -133,19 +133,15 @@ class TestRngStreams:
     def test_gamma_process_mean_is_horizon(self):
         # subordinator at T=1 with variance rate 0.3 has mean 1
         nu = 0.3
-        g = sampling.gamma_sample(sampling.RngSpec(11, 5), 1.0 / nu, nu, n=10**6)
+        g = sampling.RngSpec(11, 5).generator().gamma(1.0 / nu, nu, 10**6)
         assert g.mean() == pytest.approx(1.0, abs=5e-3)
 
     def test_gamma_scalar_deterministic(self):
         spec = sampling.RngSpec(base_seed=3, stream_id=9)
-        x = sampling.gamma_sample(spec, 2.0, 0.5)
+        x = spec.generator().gamma(2.0, 0.5)
         assert isinstance(x, float) and x > 0.0
-        assert x == sampling.gamma_sample(spec, 2.0, 0.5)
+        assert x == spec.generator().gamma(2.0, 0.5)
 
     def test_guards(self):
         with pytest.raises(ValueError):
             sampling.RngSpec(1, -2)
-        with pytest.raises(ValueError):
-            sampling.gamma_sample(sampling.RngSpec(1), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            sampling.gamma_sample(sampling.RngSpec(1), 1.0, -1.0)

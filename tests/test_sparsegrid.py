@@ -367,6 +367,11 @@ class TestInterpolant:
         with pytest.raises(NonFiniteIntegrand):
             interpolant_total_degree(f, 2)
 
+    def test_only_total_degree_two(self):
+        f = lambda z: z[:, 0] ** 2 + z[:, 1]
+        with pytest.raises(ValueError):
+            interpolant_total_degree(f, 2, q=3)
+
     def test_single_point_batch_and_vector_input(self):
         f = lambda z: z[:, 0] ** 2 + z[:, 1]
         g, _ = interpolant_total_degree(f, 2)
