@@ -26,7 +26,6 @@ from .rules1d import genz_keister_sequence, laguerre_sequence
 from .sampling import RngSpec, SobolStream, inv_norm_cdf
 from .sparsegrid import (
     DEFAULT_MAX_EVALS,
-    AdaptiveState,
     adaptive_quadrature,
     interpolant_total_degree,
 )
@@ -266,16 +265,6 @@ def price_asg(
     Defaults to the nested Genz-Keister sequence in every dimension,
     which keeps the distinct-point count low on smooth integrands.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance {tol} must be positive")
-    if max_evals < 1:
-        raise ValueError(f"max_evals {max_evals} must be at least 1")
-    if integrand.dim == 0:
-        value = float(np.asarray(integrand(np.zeros((1, 0))))[0])
-        state = AdaptiveState(dim=0, old_set={()}, value=value)
-        state.evaluations = 1
-        state.distinct_points = 1
-        return value, state
     if seqs is None:
         seqs = genz_keister_sequence()
     value, _, state = adaptive_quadrature(

@@ -7,19 +7,22 @@ differences are summed either over a fixed total-degree index set or
 adaptively, steered by the absolute value of each index's contribution.
 
 Integrands are batched: a callable receiving an (n, d) array of points
-and returning n values.  A tensor grid expands only the coordinates
-whose rule has more than one node; every other coordinate sits at its
-single node.  Each tensor-rule value Q_beta = w_beta . f(grid beta) is
-computed once and kept, keyed by its level tuple, so the difference for
-alpha is the signed sum of 2^k kept values (k the number of positive
-entries).  This holds for nested and non-nested rule sequences alike.
+and returning n values.  A tensor grid starts from a row of level-0
+nodes, made once per run, and expands only the coordinates with a
+positive level.  Each tensor-rule value Q_beta = w_beta . f(grid beta)
+is computed once and kept, keyed by its level tuple, so the difference
+for alpha is the signed sum of 2^k kept values (k the number of
+positive entries).  This holds for nested and non-nested rule sequences
+alike.  The adaptive loop calls the integrand once per accepted index,
+on the grids of all the children that index admits.
 
 Two cost counts are kept.  ``evaluations`` counts the nodes of the 2^k
 difference grids of every index, repeats included, as if each
 difference were evaluated on its own; it is what ``max_evals`` caps.
-The integrand itself is called on sum over alpha of |grid(alpha)|
-points, once per new tensor grid, and ``distinct_points`` counts the
-distinct nodes among them.
+The integrand itself sees sum over alpha of |grid(alpha)| points, and
+``distinct_points`` counts the distinct nodes among them from
+per-coordinate counts of the nodes each level adds, without hashing
+rows.  The error estimate ``eta`` is an exact running sum.
 
 The total-degree-2 interpolant behind the control variate is kept as a
 closed-form polynomial in which each term touches at most two
@@ -27,9 +30,11 @@ coordinates: monomial coefficients from one integrand call, evaluated
 by two matrix products per block of rows.
 """
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,24 +56,27 @@ def _seq_list(seqs, d):
     return seqs
 
 
-def _tensor_block(levels, seqs):
+def _base_row(seqs):
+    """The level-0 node of every coordinate, as one (d,) row."""
+    return np.array([seq.rule(0).nodes[0] for seq in seqs])
+
+
+def _tensor_block(levels, seqs, base):
     """Nodes (prod N, d) and weights (prod N,) of one tensor rule.
 
-    Only the coordinates whose rule has more than one node are expanded;
-    the other columns hold their rule's single node.
+    Rows start as ``base``, the row of level-0 nodes, and only the
+    coordinates with a positive level are expanded, the first of them
+    slowest (meshgrid "ij" order).  Every level-0 rule is one node of
+    weight exactly 1 (the Christoffel weight 1 / p_0^2), so the weights
+    are the outer product of the expanded coordinates' weights alone.
     """
-    rules = [seqs[j].rule(lv) for j, lv in enumerate(levels)]
-    wide = [j for j, r in enumerate(rules) if len(r) > 1]
-    single = math.prod(float(r.weights[0]) for r in rules if len(r) == 1)
-    pts = np.array([[r.nodes[0] for r in rules]])
-    w = np.array(single)
-    if wide:
-        grids = np.meshgrid(*[rules[j].nodes for j in wide], indexing="ij")
-        pts = np.repeat(pts, grids[0].size, axis=0)
-        for j, g in zip(wide, grids):
-            pts[:, j] = g.reshape(-1)
-            w = np.multiply.outer(w, rules[j].weights)
-    return pts, w.reshape(-1)
+    rules = [(j, seqs[j].rule(lv)) for j, lv in enumerate(levels) if lv]
+    pts = np.empty([len(r) for _, r in rules] + [base.shape[0]])
+    pts[...] = base
+    for i, (j, r) in enumerate(rules):
+        pts[..., j] = r.nodes.reshape((-1,) + (1,) * (len(rules) - 1 - i))
+    w = functools.reduce(np.multiply.outer, [r.weights for _, r in rules] or [np.ones(1)])
+    return pts.reshape(w.size, base.shape[0]), w.reshape(-1)
 
 
 def _evaluate(f, pts):
@@ -86,13 +94,13 @@ def _evaluate(f, pts):
     return vals
 
 
-def _evaluate_grids(f, level_list, seqs):
+def _evaluate_grids(f, level_list, seqs, base):
     """Evaluate ``f`` on the tensor grids of ``level_list`` in one call.
 
-    Returns the stacked points and, per grid, its weights and values.
+    Returns, per grid, its weights and values.
     """
-    blocks = [_tensor_block(levels, seqs) for levels in level_list]
-    pts = blocks[0][0] if len(blocks) == 1 else np.vstack([p for p, _ in blocks])
+    blocks = [_tensor_block(levels, seqs, base) for levels in level_list]
+    pts = blocks[0][0] if len(blocks) == 1 else np.concatenate([p for p, _ in blocks])
     vals = _evaluate(f, pts)
     grids = []
     offset = 0
@@ -100,53 +108,80 @@ def _evaluate_grids(f, level_list, seqs):
         m = w.shape[0]
         grids.append((w, vals[offset : offset + m]))
         offset += m
-    return pts, grids
+    return grids
+
+
+def _below(alpha):
+    """The 2^k level tuples of alpha's difference, first positive coordinate slowest."""
+    return itertools.product(*[(a, a - 1) if a else (0,) for a in alpha])
+
+
+@functools.lru_cache(maxsize=None)
+def _signs(k):
+    # (-1)^(number of lowered coordinates), in the order of _below
+    signs = (1.0,)
+    for _ in range(k):
+        signs = tuple(t for s in signs for t in (s, -s))
+    return signs
 
 
 class _TensorValues:
     """Tensor-rule values Q_beta = w_beta . f(grid beta), each computed once.
 
-    ``values`` maps a level tuple to (Q_beta, |grid beta|); ``points``
-    holds every node the integrand has seen, as row bytes.
+    ``values`` maps a level tuple to Q_beta; ``base`` is the row of
+    level-0 nodes every grid starts from.
     """
 
     def __init__(self, f, seqs):
         self.f = f
         self.seqs = seqs
+        self.base = _base_row(seqs)
         self.values = {}
-        self.points = set()
+        self._level_counts = {}
 
     def fill(self, level_list):
         """Evaluate the grids of ``level_list`` not kept yet, in one call."""
         missing = [levels for levels in level_list if levels not in self.values]
-        if not missing:
-            return
-        pts, grids = _evaluate_grids(self.f, missing, self.seqs)
-        for levels, (w, vals) in zip(missing, grids):
-            self.values[levels] = (float(w @ vals), w.shape[0])
-        row_bytes = np.dtype((np.void, pts.itemsize * pts.shape[1]))
-        self.points.update(np.ascontiguousarray(pts).view(row_bytes).ravel().tolist())
+        if missing:
+            grids = _evaluate_grids(self.f, missing, self.seqs, self.base)
+            for levels, (w, vals) in zip(missing, grids):
+                self.values[levels] = float(w @ vals)
 
     def delta(self, alpha):
-        """Difference value for ``alpha`` and the node count of its 2^k grids."""
-        active = [j for j, a in enumerate(alpha) if a > 0]
-        terms = []
-        for drops in itertools.product((0, 1), repeat=len(active)):
-            levels = list(alpha)
-            sign = 1.0
-            for j, drop in zip(active, drops):
-                if drop:
-                    levels[j] -= 1
-                    sign = -sign
-            terms.append((sign, tuple(levels)))
-        self.fill([levels for _, levels in terms])
-        total = 0.0
-        evals = 0
-        for sign, levels in terms:
-            value, size = self.values[levels]
-            total += sign * value
-            evals += size
-        return total, evals
+        """Difference value for ``alpha``, from the kept values below it."""
+        values = map(self.values.__getitem__, _below(alpha))
+        signs = _signs(len(alpha) - alpha.count(0))
+        return functools.reduce(operator.add, map(operator.mul, signs, values), 0.0)
+
+    def counts(self, alpha):
+        """Nodes of alpha's 2^k difference grids, and of grid(alpha) alone.
+
+        The first count includes repeats.  The second counts the nodes of
+        grid(alpha) in no grid registered before it, and holds when every
+        grid below alpha is registered before alpha and none above it is,
+        as in the adaptive loop.  A node of grid(alpha) that also lies in
+        a registered grid beta lies in grid(min(alpha, beta)) too, so it
+        is new exactly when each positive coordinate holds a node of its
+        level that no lower level of that coordinate has.  Nodes compare
+        by their bytes, as distinct rows would.
+        """
+        size = new = 1
+        for j, a in enumerate(alpha):
+            if a:
+                s, n = self._level_counts.get((j, a)) or self._count_level(j, a)
+                size *= s
+                new *= n
+        return size, new
+
+    def _count_level(self, j, level):
+        seq = self.seqs[j]
+        lower = set()
+        for lv in range(level):
+            lower.update(seq.rule(lv).nodes.view(np.uint64).tolist())
+        fresh = set(seq.rule(level).nodes.view(np.uint64).tolist()) - lower
+        counts = (seq.size(level) + seq.size(level - 1), len(fresh))
+        self._level_counts[(j, level)] = counts
+        return counts
 
 
 def delta_tensor(f, alpha, seqs):
@@ -162,7 +197,9 @@ def delta_tensor(f, alpha, seqs):
         The signed combination and the number of nodes of the 2^k grids.
     """
     alpha = tuple(alpha)
-    return _TensorValues(f, _seq_list(seqs, len(alpha))).delta(alpha)
+    tensor = _TensorValues(f, _seq_list(seqs, len(alpha)))
+    tensor.fill(list(_below(alpha)))
+    return tensor.delta(alpha), tensor.counts(alpha)[0]
 
 
 def total_degree_indices(d, q):
@@ -187,7 +224,7 @@ def total_degree_quadrature(f, d, q, seqs):
     indices = total_degree_indices(d, q)
     tensor = _TensorValues(f, _seq_list(seqs, d))
     tensor.fill(indices)
-    return math.fsum(tensor.delta(alpha)[0] for alpha in indices)
+    return math.fsum(tensor.delta(alpha) for alpha in indices)
 
 
 @dataclass
@@ -199,10 +236,13 @@ class AdaptiveState:
     and ``contributions`` keeps the signed contribution of every index
     examined so far.  ``value`` is the accumulated quadrature sum over
     old and active indices, ``eta`` the global estimate sum(g) over the
-    active set.  ``evaluations`` counts the nodes of the 2^k difference
-    grids of every index, repeats included (the quantity ``max_evals``
-    caps); the integrand is called only on each index's own grid, and
-    ``distinct_points`` counts the distinct nodes it has seen.
+    active set, kept as an exact running sum: it always equals
+    ``math.fsum(active.values())``.  ``evaluations`` counts the nodes of
+    the 2^k difference grids of every index, repeats included (the
+    quantity ``max_evals`` caps); the integrand is called once per
+    accepted index, on the grids of the indices it admits, and
+    ``distinct_points`` counts the distinct nodes of the grids of old
+    and active indices.
     """
 
     dim: int
@@ -235,8 +275,8 @@ class AdaptiveState:
                 if child in self.old_set:
                     raise ValueError(f"active index {alpha} behind old {child}")
         total = math.fsum(self.active.values())
-        if abs(self.eta - total) > 1e-12 * max(abs(total), 1e-300):
-            raise ValueError(f"eta {self.eta} inconsistent with sum {total}")
+        if self.eta != total:
+            raise ValueError(f"eta {self.eta!r} differs from the active sum {total!r}")
 
 
 def admissible_children(alpha, old_set):
@@ -244,22 +284,46 @@ def admissible_children(alpha, old_set):
 
     A child alpha + e_k qualifies only if every backward neighbor is in
     ``old_set``; with ``alpha`` itself just accepted this is the standard
-    admissibility check of the adaptive refinement rule.
+    admissibility check of the adaptive refinement rule.  The backward
+    neighbor along k is ``alpha``; along any other q it is alpha - e_q +
+    e_k, so only the positive coordinates of ``alpha`` need checking.
     """
-    d = len(alpha)
+    if alpha not in old_set:
+        return []
+    positive = [q for q, a in enumerate(alpha) if a]
     out = []
-    for k in range(d):
-        beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
+    for k in range(len(alpha)):
         ok = True
-        for q in range(d):
-            if beta[q] > 0:
-                parent = beta[:q] + (beta[q] - 1,) + beta[q + 1 :]
-                if parent not in old_set:
+        for q in positive:
+            if q != k:
+                parent = list(alpha)
+                parent[q] -= 1
+                parent[k] += 1
+                if tuple(parent) not in old_set:
                     ok = False
                     break
         if ok:
-            out.append(beta)
+            out.append(alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :])
     return out
+
+
+def _add_exact(partials, x):
+    """Add ``x`` to Shewchuk partials whose exact sum is a running total.
+
+    The partials are nonoverlapping and increasing in magnitude, so
+    ``math.fsum(partials)`` is the correctly rounded total.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def adaptive_quadrature(
@@ -281,11 +345,15 @@ def adaptive_quadrature(
     once, so an integrand vanishing at the center cannot cause a
     spurious immediate return.
 
-    The index set stays downward closed, so when an index alpha is added
-    every tensor value below it is already kept: the integrand is called
-    once, on grid(alpha) alone, and the difference is formed from the
-    kept values.  ``state.evaluations`` still counts all 2^k difference
-    grids of each index, repeats included.
+    The index set stays downward closed, so when an index is added every
+    tensor value below it is already kept.  The integrand is called once
+    per accepted index, on the grids of all the children it admits, and
+    each difference is formed from kept values.  ``state.evaluations``
+    still counts all 2^k difference grids of each index, repeats
+    included, and the children are added one by one in order, with the
+    budget checked after each; a batch stops at the first child over
+    budget, so no grid past it is evaluated.  ``eta`` is an exact
+    running sum over the active set.
 
     Parameters
     ----------
@@ -316,37 +384,48 @@ def adaptive_quadrature(
     seqs = _seq_list(seqs, d)
     state = AdaptiveState(dim=d)
     tensor = _TensorValues(f, seqs)
+    heap = []
+    partials = []  # eta as Shewchuk partials
 
-    def add_index(alpha):
-        value, evals = tensor.delta(alpha)
-        state.evaluations += evals
-        state.distinct_points = len(tensor.points)
-        g = abs(value)
-        state.active[alpha] = g
-        state.contributions[alpha] = value
-        state.value += value
-        heapq.heappush(heap, (-g, alpha))
+    def add_indices(indices):
+        # evaluate up to the first index over budget, then add in order
+        counts = []
+        evaluations = state.evaluations
+        for alpha in indices:
+            counts.append(tensor.counts(alpha))
+            evaluations += counts[-1][0]
+            if evaluations > max_evals:
+                break
+        tensor.fill(indices[: len(counts)])
+        for alpha, (size, new) in zip(indices, counts):
+            value = tensor.delta(alpha)
+            state.evaluations += size
+            state.distinct_points += new
+            g = abs(value)
+            state.active[alpha] = g
+            state.contributions[alpha] = value
+            state.value += value
+            _add_exact(partials, g)
+            heapq.heappush(heap, (-g, alpha))
         if state.evaluations > max_evals:
-            state.eta = math.fsum(state.active.values())
+            state.eta = math.fsum(partials)
             raise BudgetExhausted(
                 f"{state.evaluations} evaluations exceed budget {max_evals}",
                 state=state,
             )
 
-    heap = []
-    root = (0,) * d
-    add_index(root)
-    state.eta = math.fsum(state.active.values())
+    add_indices([(0,) * d])
+    state.eta = math.fsum(partials)
 
     forced = True
     while state.active and (forced or state.eta > tol):
         forced = False
         _, alpha = heapq.heappop(heap)
         g = state.active.pop(alpha)
+        _add_exact(partials, -g)
         state.old_set.add(alpha)
-        for beta in admissible_children(alpha, state.old_set):
-            add_index(beta)
-        state.eta = math.fsum(state.active.values())
+        add_indices(admissible_children(alpha, state.old_set))
+        state.eta = math.fsum(partials)
         if trace is not None:
             trace(
                 f"{alpha} | {g:.6e} | {state.evaluations} | {state.eta:.6e}"
@@ -401,7 +480,8 @@ def interpolant_total_degree(f, d, q=2):
         if c != 0:
             coefficients[alpha] = float(c)
     seq = gauss_hermite_sequence()
-    _, grids = _evaluate_grids(f, list(coefficients), _seq_list(seq, d))
+    seqs = _seq_list(seq, d)
+    grids = _evaluate_grids(f, list(coefficients), seqs, _base_row(seqs))
 
     # nodal values to monomial coefficients, for the 3- and 5-node rules
     inverse = {

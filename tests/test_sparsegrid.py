@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,7 +7,11 @@ import pytest
 
 from smoothquad import linalg, models, pricing, sparsegrid
 from smoothquad.errors import BudgetExhausted, NonFiniteIntegrand
-from smoothquad.rules1d import gauss_hermite_sequence, genz_keister_sequence
+from smoothquad.rules1d import (
+    gauss_hermite_sequence,
+    genz_keister_sequence,
+    laguerre_sequence,
+)
 from smoothquad.sparsegrid import (
     AdaptiveState,
     adaptive_quadrature,
@@ -37,6 +42,37 @@ def counting(f):
 
 def grid_size(alpha, seq):
     return math.prod(seq.size(a) for a in alpha)
+
+
+def meshgrid_block(levels, seqs):
+    """The meshgrid construction of one tensor rule that _tensor_block replaced."""
+    rules = [seqs[j].rule(lv) for j, lv in enumerate(levels)]
+    wide = [j for j, r in enumerate(rules) if len(r) > 1]
+    single = math.prod(float(r.weights[0]) for r in rules if len(r) == 1)
+    pts = np.array([[r.nodes[0] for r in rules]])
+    w = np.array(single)
+    if wide:
+        grids = np.meshgrid(*[rules[j].nodes for j in wide], indexing="ij")
+        pts = np.repeat(pts, grids[0].size, axis=0)
+        for j, g in zip(wide, grids):
+            pts[:, j] = g.reshape(-1)
+            w = np.multiply.outer(w, rules[j].weights)
+    return pts, w.reshape(-1)
+
+
+def loop_children(alpha, old_set):
+    """admissible_children as the full d-by-d parent check."""
+    out = []
+    for k in range(len(alpha)):
+        beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
+        parents = [
+            beta[:q] + (beta[q] - 1,) + beta[q + 1 :]
+            for q in range(len(beta))
+            if beta[q] > 0
+        ]
+        if all(p in old_set for p in parents):
+            out.append(beta)
+    return out
 
 
 class TestDeltaTensor:
@@ -220,6 +256,47 @@ class TestAdaptiveQuadrature:
         assert state.evaluations > 50
         state.verify()
 
+    @pytest.mark.parametrize(
+        "seq, d, max_evals, left_out",
+        [
+            (GH, 5, 50, 0),
+            (GH, 5, 100, 6),
+            (genz_keister_sequence(), 8, 50, 2),
+            (genz_keister_sequence(), 8, 500, 8),
+        ],
+    )
+    def test_budget_stop_inside_a_child_batch(self, seq, d, max_evals, left_out):
+        f = lambda z: np.exp(z.sum(axis=1))
+        with pytest.raises(BudgetExhausted) as exc:
+            adaptive_quadrature(f, d, 1e-14, seq, max_evals=max_evals)
+        state = exc.value.state
+        state.verify()
+        indices = state.old_set | set(state.active)
+        # admissible children the stop left out of the last batch
+        assert left_out == sum(
+            beta not in indices
+            for alpha in state.old_set
+            for beta in admissible_children(alpha, state.old_set)
+        )
+        rows = set()
+        evaluations = 0
+        for alpha in indices:
+            nodes = [seq.rule(a).nodes for a in alpha]
+            rows.update(np.array(row).tobytes() for row in itertools.product(*nodes))
+            lowered = [(a, a - 1) if a else (0,) for a in alpha]
+            evaluations += sum(grid_size(beta, seq) for beta in itertools.product(*lowered))
+        assert state.distinct_points == len(rows)
+        assert state.evaluations == evaluations
+        assert state.evaluations > max_evals
+
+    def test_dimension_zero_counts_its_point(self):
+        value, _, state = adaptive_quadrature(
+            lambda p: np.full(len(p), 1.5), 0, 1e-3, gauss_hermite_sequence()
+        )
+        assert value == 1.5
+        assert state.evaluations == 1
+        assert state.distinct_points == 1
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(constant(1.0), 2, 0.0, GH)
@@ -230,12 +307,19 @@ class TestAdaptiveQuadrature:
 class TestTensorValuesKept:
     """Each tensor grid reaches the integrand once; counts keep their meaning."""
 
-    def test_adaptive_calls_once_per_index_on_its_own_grid(self):
+    def test_adaptive_calls_once_per_accepted_index(self):
+        # one call for the root, then one per accepted index that admits
+        # at least one child, on the grids of all the children it admits
         gk = genz_keister_sequence()
         f = counting(lambda z: np.exp(0.3 * z[:, 0] - 0.2 * z[:, 1] + 0.1 * z[:, 2]))
-        _, _, state = adaptive_quadrature(f, 3, 1e-10, gk)
+        sizes = []
+        _, _, state = adaptive_quadrature(
+            f, 3, 1e-10, gk, audit=lambda s: sizes.append(len(s.old_set) + len(s.active))
+        )
+        grew = sum(b > a for a, b in zip([1] + sizes, sizes))
+        assert len(f.calls) == 1 + grew
+        assert len(f.calls) < len(sizes)
         indices = state.old_set | set(state.active)
-        assert len(f.calls) == len(indices)
         grids = sum(grid_size(alpha, gk) for alpha in indices)
         assert sum(f.calls) == grids
         assert grids < state.evaluations
@@ -299,6 +383,86 @@ class TestAdmissibility:
         )
         with pytest.raises(ValueError):
             bad3.verify()
+
+    def test_state_verify_wants_eta_exact(self):
+        f = lambda z: np.exp(0.4 * z.sum(axis=1))
+        _, eta, state = adaptive_quadrature(f, 3, 1e-9, GH)
+        assert eta == math.fsum(state.active.values())
+        state.verify()
+        for off in (np.inf, -np.inf):
+            state.eta = float(np.nextafter(eta, off))
+            with pytest.raises(ValueError):
+                state.verify()
+
+    def test_trimmed_check_matches_full_parent_check(self):
+        # every index of a grown adaptive set, against the set at its end
+        f = lambda z: np.exp(0.3 * z[:, 0] + 0.2 * z[:, 1] - 0.4 * z[:, 2] + 0.1 * z[:, 3])
+        _, _, state = adaptive_quadrature(f, 4, 1e-10, GH)
+        for alpha in state.old_set | set(state.active):
+            assert admissible_children(alpha, state.old_set) == loop_children(
+                alpha, state.old_set
+            ), alpha
+
+
+class TestBookkeeping:
+    def test_running_sum_equals_fsum_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        values = rng.lognormal(0.0, 12.0, size=400) * rng.choice([1.0, 1e-17, 1e17], 400)
+        partials = []
+        live = []
+        for i, x in enumerate(values):
+            sparsegrid._add_exact(partials, x)
+            live.append(x)
+            if i % 3 == 2:
+                gone = live.pop(int(rng.integers(len(live))))
+                sparsegrid._add_exact(partials, -gone)
+            assert math.fsum(partials) == math.fsum(live)
+
+    def test_delta_matches_the_signed_loop(self):
+        f = lambda z: np.exp(0.3 * z.sum(axis=1)) * np.sin(1.0 + z[:, 0])
+        tensor = sparsegrid._TensorValues(f, [GH] * 4)
+        alphas = [(0, 0, 0, 0), (2, 0, 1, 0), (1, 1, 1, 1), (3, 0, 0, 2)]
+        for alpha in alphas:
+            active = [j for j, a in enumerate(alpha) if a > 0]
+            terms = []
+            for drops in itertools.product((0, 1), repeat=len(active)):
+                levels = list(alpha)
+                sign = 1.0
+                for j, drop in zip(active, drops):
+                    if drop:
+                        levels[j] -= 1
+                        sign = -sign
+                terms.append((sign, tuple(levels)))
+            tensor.fill([levels for _, levels in terms])
+            total = 0.0
+            for sign, levels in terms:
+                total += sign * tensor.values[levels]
+            assert tensor.delta(alpha) == total
+            assert tensor.counts(alpha)[0] == sum(grid_size(lv, GH) for _, lv in terms)
+
+    @pytest.mark.parametrize("d", [1, 3, 25])
+    def test_tensor_block_matches_meshgrid(self, d):
+        gk = genz_keister_sequence()
+        families = {
+            "gk": [gk] * d,
+            "gh": [GH] * d,
+            "laguerre+gk": [laguerre_sequence(0.4)] + [gk] * (d - 1),
+        }
+        rng = np.random.default_rng(d)
+        level_list = [(0,) * d]
+        for _ in range(12):
+            levels = [0] * d
+            for j in rng.choice(d, size=min(d, 3), replace=False):
+                levels[j] = int(rng.integers(0, 4))
+            level_list.append(tuple(levels))
+        for seqs in families.values():
+            base = sparsegrid._base_row(seqs)
+            for levels in level_list:
+                pts, w = sparsegrid._tensor_block(levels, seqs, base)
+                ref_pts, ref_w = meshgrid_block(levels, seqs)
+                assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
+                assert pts.tobytes() == ref_pts.tobytes(), levels
+                assert w.tobytes() == ref_w.tobytes(), levels
 
 
 class TestInterpolant:
