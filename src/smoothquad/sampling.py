@@ -1,10 +1,13 @@
 """Sobol sequences, inverse normal transform, and seeded random sampling.
 
 The Sobol generator is the plain unscrambled construction from embedded
-direction numbers (dimensions up to 64), generated in Gray-code order.
-By default the all-zeros index is skipped so every coordinate lies
-strictly inside (0, 1).  The inverse normal transform is
-``scipy.special.ndtri`` behind a domain check.
+direction numbers (dimensions up to 64), generated in Gray-code order
+by the Antonov-Saleev recurrence: point i is point i-1 XOR the direction
+numbers of bit c, where c is the number of trailing zeros of i, so a
+chunk of points is one cumulative XOR down its rows.  By default the
+all-zeros index is skipped so every coordinate lies strictly inside
+(0, 1).  The inverse normal transform is ``scipy.special.ndtri`` behind
+a domain check.
 
 Pseudo-random sampling goes through counter-based Philox streams keyed
 by (base_seed, stream_id), so runs are reproducible under any thread
@@ -27,22 +30,22 @@ _MASK64 = (1 << 64) - 1
 
 @functools.lru_cache(maxsize=None)
 def _direction_matrix(dim: int) -> np.ndarray:
-    """Direction numbers as a (dim, 32) uint64 matrix of bit columns."""
-    v = np.zeros((dim, _BITS), dtype=np.uint64)
+    """Direction numbers as a (32, dim) uint64 matrix; row b holds bit b's numbers."""
+    v = np.zeros((_BITS, dim), dtype=np.uint64)
     # first coordinate: van der Corput, m_k = 1 for every k
     for b in range(_BITS):
-        v[0, b] = np.uint64(1 << (_BITS - 1 - b))
-    for row in range(1, dim):
-        s, a, m = DIRECTION_DATA[row - 1]
+        v[b, 0] = np.uint64(1 << (_BITS - 1 - b))
+    for col in range(1, dim):
+        s, a, m = DIRECTION_DATA[col - 1]
         for b in range(min(s, _BITS)):
-            v[row, b] = np.uint64(m[b] << (_BITS - 1 - b))
+            v[b, col] = np.uint64(m[b] << (_BITS - 1 - b))
         for b in range(s, _BITS):
-            acc = int(v[row, b - s])
+            acc = int(v[b - s, col])
             acc ^= acc >> s
             for i in range(1, s):
                 if (a >> (s - 1 - i)) & 1:
-                    acc ^= int(v[row, b - i])
-            v[row, b] = np.uint64(acc)
+                    acc ^= int(v[b - i, col])
+            v[b, col] = np.uint64(acc)
     v.setflags(write=False)
     return v
 
@@ -52,7 +55,10 @@ class SobolStream:
 
     Successive calls to :meth:`points` continue the sequence, so a long
     quasi-Monte Carlo run can be consumed in chunks without storing all
-    points at once.
+    points at once.  A chunk starting at index s holds the Gray-code
+    point of s in its first row and, in row k, the direction numbers of
+    the lowest set bit of s + k; an in-place cumulative XOR down the
+    rows turns these into the points, with no loop over bits.
     """
 
     def __init__(self, dim: int, start: int = 1):
@@ -70,15 +76,19 @@ class SobolStream:
         """Next ``n`` points as an (n, dim) array in [0, 1)^dim."""
         if n < 0:
             raise ValueError(f"point count {n} is negative")
-        if self.next_index + n > 1 << _BITS:
+        start = self.next_index
+        if start + n > 1 << _BITS:
             raise ValueError("sobol index space of 2^32 points exhausted")
-        idx = np.arange(self.next_index, self.next_index + n, dtype=np.uint64)
-        gray = idx ^ (idx >> np.uint64(1))
-        out = np.zeros((n, self.dim), dtype=np.uint64)
-        for b in range(_BITS):
-            hit = (gray >> np.uint64(b)) & np.uint64(1) == 1
-            if np.any(hit):
-                out[hit] ^= self._v[:, b]
+        out = np.empty((n, self.dim), dtype=np.uint64)
+        if n:
+            gray = start ^ (start >> 1)
+            bits = [b for b in range(_BITS) if gray >> b & 1]
+            out[0] = np.bitwise_xor.reduce(self._v[bits], axis=0)
+            idx = np.arange(start + 1, start + n, dtype=np.int64)
+            # log2 of the lowest set bit is the trailing-zero count, exact below 2^32
+            ctz = np.log2((idx & -idx).astype(np.float64)).astype(np.intp)
+            np.take(self._v, ctz, axis=0, out=out[1:])
+            np.bitwise_xor.accumulate(out, axis=0, out=out)
         self.next_index += n
         return out.astype(np.float64) * _SCALE
 

@@ -261,6 +261,36 @@ class TestMonteCarlo:
         np.testing.assert_allclose(mean, vals.mean(), rtol=1e-10)
         np.testing.assert_allclose(se, vals.std() / 100.0, rtol=1e-6)
 
+    def test_draws_keep_batches_and_blocks(self):
+        # the sampler is asked for whole 2^16-row batches, the integrand
+        # for at most 8,192 rows at a time
+        drawn, evaluated = [], []
+
+        def sampler(m):
+            start = sum(drawn)
+            drawn.append(m)
+            return np.arange(start, start + m, dtype=float)[:, None]
+
+        def f(points):
+            evaluated.append(points.shape[0])
+            return points[:, 0]
+
+        n = 2 * 2**16 + 8197
+        mean, _ = pricing._mean_se_of(f, sampler, n)
+        assert drawn == [2**16, 2**16, 8197]
+        assert max(evaluated) <= 8192 and sum(evaluated) == n
+        assert mean == (n - 1) / 2
+
+    def test_mean_se_matches_one_shot(self):
+        model = models.random_instance(3, 77)
+        prob, dec = smoothing_parts(model)
+        g = pricing.smoothed_integrand(prob, dec)
+        n = 2**16 + 2**13 + 7
+        mean, se = pricing.mc_mean_se(g, n, RngSpec(13))
+        vals = g(RngSpec(13).generator().standard_normal((n, g.dim)))
+        np.testing.assert_allclose(mean, vals.mean(), rtol=1e-14)
+        np.testing.assert_allclose(se, vals.std() / math.sqrt(n), rtol=1e-14)
+
     def test_estimate_tracks_reference(self):
         model = models.random_instance(3, 77)
         ref = pricing.reference_price(model)
@@ -498,6 +528,18 @@ class TestVarianceGamma:
         )
         assert abs(m_s - m_r) <= 3.0 * math.hypot(se_s, se_r)
         assert se_s < se_r
+
+    def test_mc_matches_hand_rolled_draws(self):
+        model = models.vg_example(True)
+        gen = RngSpec(4).generator()
+        shape, scale = model.T / model.nu, model.nu
+        batches = []
+        for m in (2**16, 5):
+            y = gen.gamma(shape, scale, m)
+            batches.append(np.column_stack([y, gen.standard_normal((m, model.d - 1))]))
+        vals = pricing.vg_smoothed_integrand(model)(np.vstack(batches))
+        price = pricing.price_vg_mc(model, 2**16 + 5, RngSpec(4))
+        np.testing.assert_allclose(price, vals.mean(), rtol=1e-15)
 
     def test_adaptive_matches_sampling(self):
         model = models.vg_example(modified=True)

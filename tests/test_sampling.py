@@ -4,7 +4,40 @@ import pytest
 from scipy.special import ndtr
 
 from smoothquad import sampling
+from smoothquad._sobol_table import DIRECTION_DATA
 from smoothquad.errors import DimensionTooLarge, OutOfDomain
+
+
+def reference_directions(dim):
+    """Per-coordinate 32-bit direction numbers from the Joe-Kuo m-recurrence."""
+    cols = [[1 << (31 - k) for k in range(32)]]
+    for s, a, m_init in DIRECTION_DATA[: dim - 1]:
+        m = list(m_init)
+        for k in range(s, 32):
+            new = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    new ^= m[k - i] << i
+            m.append(new)
+        cols.append([m[k] << (31 - k) for k in range(32)])
+    return cols
+
+
+def reference_points(dim, start, n):
+    """Sobol points one index at a time: XOR the directions of the Gray code's bits."""
+    cols = reference_directions(dim)
+    rows = []
+    for i in range(start, start + n):
+        gray = i ^ (i >> 1)
+        row = []
+        for col in cols:
+            x = 0
+            for b in range(32):
+                if gray >> b & 1:
+                    x ^= col[b]
+            row.append(x * 2.0**-32)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(n, dim)
 
 
 class TestSobol:
@@ -41,6 +74,24 @@ class TestSobol:
         chunks = np.vstack([stream.points(7), stream.points(93)])
         np.testing.assert_array_equal(chunks, sampling.SobolStream(5).points(100))
         assert stream.next_index == 101
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 25, 64])
+    @pytest.mark.parametrize("start", [0, 1, 7, 1000, 2**20 - 3])
+    def test_matches_gray_code_reference(self, dim, start):
+        # the second call runs across the next power of two above start + 2
+        stream = sampling.SobolStream(dim, start)
+        first = stream.points(2)
+        cross = (1 << (start + 2).bit_length()) - (start + 2) + 3
+        second = stream.points(cross)
+        np.testing.assert_array_equal(first, reference_points(dim, start, 2))
+        np.testing.assert_array_equal(second, reference_points(dim, start + 2, cross))
+        assert stream.points(0).shape == (0, dim)
+
+    def test_top_of_index_space(self):
+        stream = sampling.SobolStream(3, 2**32 - 4)
+        np.testing.assert_array_equal(stream.points(4), reference_points(3, 2**32 - 4, 4))
+        with pytest.raises(ValueError):
+            stream.points(1)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooLarge):
