@@ -74,23 +74,21 @@ def _bs_call_core(s0, k, sigma):
     s0 = np.asarray(s0, dtype=float)
     k = np.asarray(k, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    s0, k, sigma = np.broadcast_arrays(s0, k, sigma)
-    intrinsic = np.maximum(s0 - k, 0.0)
-    out = np.where(k <= 0.0, s0 - k, intrinsic)
-    live = (k > 0.0) & (sigma > 0.0) & (s0 > 0.0)
-    if np.any(live):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lg = np.log(np.where(live, s0, 1.0) / np.where(live, k, 1.0))
-            half = 0.5 * sigma * sigma
-            sig = np.where(live, sigma, 1.0)
-            d1 = np.clip((lg + half) / sig, -_D_CLAMP, _D_CLAMP)
-            d2 = np.clip((lg - half) / sig, -_D_CLAMP, _D_CLAMP)
-            price = ndtr(d1) * s0 - ndtr(d2) * k
-        price = np.maximum(price, intrinsic)
-        price = np.minimum(price, s0)
-        price = np.where(price < _PRICE_FLOOR, 0.0, price)
-        out = np.where(live, price, out)
-    return out
+    # the live formula over every entry; the others are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lg = np.log(s0 / k)
+        half = 0.5 * sigma * sigma
+        d1 = np.clip((lg + half) / sigma, -_D_CLAMP, _D_CLAMP)
+        d2 = np.clip((lg - half) / sigma, -_D_CLAMP, _D_CLAMP)
+        price = np.asarray(ndtr(d1) * s0 - ndtr(d2) * k)
+        intrinsic = np.maximum(s0 - k, 0.0)
+        np.maximum(price, intrinsic, out=price)
+        np.minimum(price, s0, out=price)
+        price[price < _PRICE_FLOOR] = 0.0
+        live = (k > 0.0) & (sigma > 0.0) & (s0 > 0.0)
+        if not np.all(live):
+            np.copyto(price, np.where(k <= 0.0, s0 - k, intrinsic), where=~live)
+    return price
 
 
 def bs_call(s0, k, sigma):
@@ -113,8 +111,11 @@ def bs_call(s0, k, sigma):
 
 
 def _payoff(x, w, K):
-    """Basket payoff (sum_i w_i e^{x_i} - K)^+ for each row of log-returns x."""
-    return np.maximum(np.exp(x) @ w - K, 0.0)
+    """Basket payoff (sum_i w_i e^{x_i} - K)^+ for each row of log-returns x.
+
+    Exponentiates ``x`` in place.
+    """
+    return np.maximum(np.exp(x, out=x) @ w - K, 0.0)
 
 
 def _split_weights(w, v):
@@ -166,8 +167,8 @@ def _bs_conditional(prob, dec, v):
     K = prob.K
 
     def func(points):
-        tilt = np.exp(np.asarray(points, dtype=float) @ loadings.T)
-        return _conditional_call(tilt, w_sel, w_rest, K, growth, lam1)
+        tilt = np.asarray(points, dtype=float) @ loadings.T
+        return _conditional_call(np.exp(tilt, out=tilt), w_sel, w_rest, K, growth, lam1)
 
     return Integrand(dim=prob.d - 1, func=func, label="CS" if v is None else "CS2")
 
@@ -199,30 +200,84 @@ def smoothed_integrand_v(
 def _mean_se_of(f, sampler, n):
     """Mean of ``f`` over ``n`` sampled points, and its standard error.
 
-    Points are drawn in batches of ``_DRAW`` rows, so every random or
-    Sobol stream is consumed in the same pattern whatever the block
-    size; ``f`` and its two sums run over blocks of ``_BLOCK`` rows,
-    whose working set fits in a core's L2 cache.
+    The sampler is asked for ``_BLOCK`` rows at a time (the last block
+    holds the rest), and ``f`` and its two sums run over each block as
+    it comes, so the working set is one block of points, 1.6 MB at
+    d = 25, whatever ``n`` is.  Philox normals and Sobol points do not
+    depend on how a stream is split, so the draws are the same for any
+    block size; a sampler whose draws do depend on it (the Variance-Gamma
+    one) draws ``_DRAW`` rows at a time and serves blocks from them.
     """
     sums = []
     squares = []
-    done = 0
-    while done < n:
-        m = min(_DRAW, n - done)
-        points = sampler(m)
-        for lo in range(0, m, _BLOCK):
-            vals = np.asarray(f(points[lo : lo + _BLOCK]), dtype=float)
-            sums.append(float(np.sum(vals)))
-            squares.append(float(np.sum(vals * vals)))
-        done += m
+    for lo in range(0, n, _BLOCK):
+        vals = np.asarray(f(sampler(min(_BLOCK, n - lo))), dtype=float)
+        sums.append(float(np.sum(vals)))
+        squares.append(float(np.sum(vals * vals)))
     mean = math.fsum(sums) / n
     second = math.fsum(squares) / n
     var = max(second - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
 
 
-def _normal_sampler(gen, dim):
-    return lambda m: gen.standard_normal((m, dim))
+def _in_batches(draw, n):
+    """Sampler serving blocks from ``draw(m)`` batches of ``_DRAW`` rows.
+
+    For draws that depend on the batch size: the batches are those of
+    ``_DRAW`` rows and then the rest of ``n``, whatever blocks are asked
+    for.  ``_DRAW`` is a multiple of ``_BLOCK``, so no block straddles
+    two batches.
+    """
+    batch = np.empty((0, 0))
+    taken = 0
+    drawn = 0
+
+    def sampler(m):
+        nonlocal batch, taken, drawn
+        if taken == batch.shape[0]:
+            batch = None  # the spent batch goes before the next is drawn
+            batch = draw(min(_DRAW, n - drawn))
+            drawn += batch.shape[0]
+            taken = 0
+        taken += m
+        return batch[taken - m : taken]
+
+    return sampler
+
+
+def _block_buffer(n, dim):
+    """Working buffer for the blocks of an ``n``-point estimate."""
+    return np.empty((min(n, _BLOCK), dim))
+
+
+def _normal_sampler(gen, buf):
+    """Sampler of standard normals, each block landing in the leading rows of ``buf``.
+
+    Each block is drawn and assigned, so the draw is freed before the
+    integrand runs: only one block-sized temporary is alive at a time,
+    and the allocator reuses its memory instead of returning it to the
+    system and faulting it back in on every block.  (Drawing with
+    ``out=`` would save the copy, but perfbench's tracer wraps
+    ``standard_normal`` with a ``size`` argument only.)
+    """
+
+    def sampler(m):
+        out = buf[:m]
+        out[...] = gen.standard_normal(out.shape)
+        return out
+
+    return sampler
+
+
+def _sobol_normal_sampler(dim, n):
+    """Sampler of Sobol points mapped to normals in place, in the stream's block."""
+    stream = SobolStream(dim, block=min(n, _BLOCK))
+
+    def sampler(m):
+        u = stream.points(m)
+        return inv_norm_cdf(u, out=u)
+
+    return sampler
 
 
 def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = 20):
@@ -237,9 +292,10 @@ def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = 20):
     if runs < 1:
         raise ValueError(f"run count {runs} must be at least 1")
     estimates = np.empty(runs)
+    buf = _block_buffer(n, integrand.dim)
     for run in range(runs):
         gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
-        sampler = _normal_sampler(gen, integrand.dim)
+        sampler = _normal_sampler(gen, buf)
         estimates[run] = _mean_se_of(integrand, sampler, n)[0]
     return float(np.median(estimates)), estimates
 
@@ -248,18 +304,21 @@ def mc_mean_se(integrand: Integrand, n: int, rng: RngSpec):
     """Single-stream Monte Carlo mean with its standard error."""
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
-    gen = rng.generator()
-    return _mean_se_of(integrand, _normal_sampler(gen, integrand.dim), n)
+    sampler = _normal_sampler(rng.generator(), _block_buffer(n, integrand.dim))
+    return _mean_se_of(integrand, sampler, n)
 
 
 def price_qmc(integrand: Integrand, n: int) -> float:
-    """Deterministic quasi-Monte Carlo price over mapped Sobol points."""
+    """Deterministic quasi-Monte Carlo price over mapped Sobol points.
+
+    The points stream through one block of the Sobol stream's own
+    arrays, mapped to normals in place, so memory does not grow with n.
+    """
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
     if integrand.dim == 0:
         return float(np.asarray(integrand(np.zeros((1, 0))))[0])
-    stream = SobolStream(integrand.dim)
-    return _mean_se_of(integrand, lambda m: inv_norm_cdf(stream.points(m)), n)[0]
+    return _mean_se_of(integrand, _sobol_normal_sampler(integrand.dim, n), n)[0]
 
 
 def price_asg(
@@ -359,7 +418,10 @@ def vg_smoothed_integrand(
         points = np.asarray(points, dtype=float)
         y = points[:, 0]
         root = np.sqrt(y)
-        tilt = np.exp(theta * y[:, None] + root[:, None] * (points[:, 1:] @ loadings.T))
+        tilt = points[:, 1:] @ loadings.T
+        tilt *= root[:, None]
+        tilt += theta * y[:, None]
+        np.exp(tilt, out=tilt)
         growth = np.exp(0.5 * y * lam1_sq)
         return disc * _conditional_call(tilt, w_sel, w_rest, K, growth, root * lam1)
 
@@ -381,7 +443,9 @@ def vg_raw_integrand(
     def func(points):
         points = np.asarray(points, dtype=float)
         y = points[:, 0]
-        x = theta * y[:, None] + np.sqrt(y)[:, None] * (points[:, 1:] @ transform.T)
+        x = points[:, 1:] @ transform.T
+        x *= np.sqrt(y)[:, None]
+        x += theta * y[:, None]
         return disc * _payoff(x, w, K)
 
     return Integrand(dim=model.d + 1, func=func, label="VG-raw")
@@ -441,12 +505,12 @@ def price_vg_mc(
     scale = model.nu
     inner = integrand.dim - 1
 
-    def sampler(m):
+    def draw(m):
         y = gen.gamma(shape, scale, m)
         z = gen.standard_normal((m, inner))
         return np.column_stack([y, z])
 
-    mean, se = _mean_se_of(integrand, sampler, n)
+    mean, se = _mean_se_of(integrand, _in_batches(draw, n), n)
     return (mean, se) if return_se else mean
 
 

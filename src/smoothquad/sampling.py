@@ -15,6 +15,7 @@ scheduling: the same spec always yields the same draws.
 """
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import DimensionTooLarge, OutOfDomain
 
 _BITS = 32
 _SCALE = float(2.0**-_BITS)
-_MASK64 = (1 << 64) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,18 +59,30 @@ class SobolStream:
     point of s in its first row and, in row k, the direction numbers of
     the lowest set bit of s + k; an in-place cumulative XOR down the
     rows turns these into the points, with no loop over bits.
+
+    With ``block`` set, the stream allocates its uint64 and float64
+    working arrays once, ``block`` rows each, and every chunk of at most
+    that many points is built in them: :meth:`points` then returns a
+    view that the next call overwrites, and a caller streaming blocks
+    allocates nothing per call.  Without it every chunk is a new array.
     """
 
-    def __init__(self, dim: int, start: int = 1):
+    def __init__(self, dim: int, start: int = 1, block=None):
         if not 1 <= dim <= SOBOL_MAX_DIM:
             raise DimensionTooLarge(
                 f"sobol dimension {dim} outside [1, {SOBOL_MAX_DIM}]"
             )
         if start < 0:
             raise ValueError(f"start index {start} is negative")
+        if block is not None and block < 1:
+            raise ValueError(f"block of {block} rows is not positive")
         self.dim = dim
         self.next_index = start
         self._v = _direction_matrix(dim)
+        self._block = block
+        if block is not None:
+            self._ints = np.empty((block, dim), dtype=np.uint64)
+            self._out = np.empty((block, dim))
 
     def points(self, n: int) -> np.ndarray:
         """Next ``n`` points as an (n, dim) array in [0, 1)^dim."""
@@ -79,30 +91,37 @@ class SobolStream:
         start = self.next_index
         if start + n > 1 << _BITS:
             raise ValueError("sobol index space of 2^32 points exhausted")
-        out = np.empty((n, self.dim), dtype=np.uint64)
+        if self._block is None:
+            ints, out = np.empty((n, self.dim), dtype=np.uint64), None
+        elif n <= self._block:
+            ints, out = self._ints[:n], self._out[:n]
+        else:
+            raise ValueError(f"{n} points do not fit the stream's {self._block}-row block")
         if n:
             gray = start ^ (start >> 1)
             bits = [b for b in range(_BITS) if gray >> b & 1]
-            out[0] = np.bitwise_xor.reduce(self._v[bits], axis=0)
+            ints[0] = np.bitwise_xor.reduce(self._v[bits], axis=0)
             idx = np.arange(start + 1, start + n, dtype=np.int64)
             # log2 of the lowest set bit is the trailing-zero count, exact below 2^32
             ctz = np.log2((idx & -idx).astype(np.float64)).astype(np.intp)
-            np.take(self._v, ctz, axis=0, out=out[1:])
-            np.bitwise_xor.accumulate(out, axis=0, out=out)
+            # every index is in range; "clip" writes straight into ints, "raise" copies
+            np.take(self._v, ctz, axis=0, out=ints[1:], mode="clip")
+            np.bitwise_xor.accumulate(ints, axis=0, out=ints)
         self.next_index += n
-        return out.astype(np.float64) * _SCALE
+        return np.multiply(ints, _SCALE, out=out)
 
 
-def inv_norm_cdf(p):
+def inv_norm_cdf(p, out=None):
     """Quantile of the standard normal distribution (``scipy.special.ndtri``).
 
     Accepts a scalar or an array with every entry in the open interval
-    (0, 1); the return type matches.
+    (0, 1); the return type matches.  ``out``, as in numpy, is an array
+    to write the quantiles into; it may be ``p`` itself.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise OutOfDomain("inverse normal CDF needs probabilities in (0, 1)")
-    x = ndtri(arr)
+    x = ndtri(arr, out=out)
     if np.isscalar(p) or arr.ndim == 0:
         return float(x)
     return x
@@ -110,18 +129,24 @@ def inv_norm_cdf(p):
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed and stream pair identifying one reproducible random stream."""
+    """Seed and stream pair identifying one reproducible random stream.
+
+    Both are unsigned 64-bit integers, the two halves of the Philox key,
+    so distinct specs never share a stream.
+    """
 
     base_seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id {self.stream_id} is negative")
+        for name in ("base_seed", "stream_id"):
+            value = operator.index(getattr(self, name))
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} {value} is outside [0, 2^64)")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator; equal specs always produce equal draws."""
-        key = ((self.base_seed & _MASK64) << 64) | (self.stream_id & _MASK64)
+        key = (int(self.base_seed) << 64) | int(self.stream_id)
         return np.random.Generator(np.random.Philox(key=key))
 
     def stream(self, stream_id: int) -> "RngSpec":

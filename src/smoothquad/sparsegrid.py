@@ -462,9 +462,11 @@ def interpolant_total_degree(f, d, q=2):
     5-node rules: a constant, a (5, d) array over the powers x_j^0 ...
     x_j^4 and a (3d, 3d) matrix over the stacked powers x_j^0, x_j^1,
     x_j^2 (power-major, so entry p d + j is x_j^p).  ``g`` is then two
-    matrix products per block of ``_ROW_CHUNK`` rows.  The mean of g
-    under the standard normal is the sum of c_alpha Q_alpha over the
-    same values, which equals the matching total-degree quadrature of f.
+    matrix products per block of ``_ROW_CHUNK`` rows, built in a power
+    table and a product buffer that each call allocates once.  The mean
+    of g under the standard normal is the sum of c_alpha Q_alpha over
+    the same values, which equals the matching total-degree quadrature
+    of f.
     Only ``q`` = 2 is supported.
 
     Returns
@@ -508,14 +510,25 @@ def interpolant_total_degree(f, d, q=2):
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[None, :]
-        out = np.empty(points.shape[0])
-        for lo in range(0, points.shape[0], _ROW_CHUNK):
+        n = points.shape[0]
+        out = np.empty(n)
+        # power table x^0 .. x^4, power-major, and low @ pair, one chunk each
+        table = np.empty((min(n, _ROW_CHUNK), 5, d))
+        table[:, 0] = 1.0
+        mixed = np.empty((table.shape[0], 3 * d))
+        for lo in range(0, n, _ROW_CHUNK):
             x = points[lo : lo + _ROW_CHUNK]
-            x2 = x * x
-            powers = np.hstack([np.ones_like(x), x, x2, x2 * x, x2 * x2])
+            m = x.shape[0]
+            t = table[:m]
+            t[:, 1] = x
+            np.multiply(x, x, out=t[:, 2])
+            np.multiply(t[:, 2], x, out=t[:, 3])
+            np.multiply(t[:, 2], t[:, 2], out=t[:, 4])
+            powers = t.reshape(m, 5 * d)
             low = powers[:, : 3 * d]
-            quad = np.einsum("mi,mi->m", low @ pair, low)
-            out[lo : lo + x.shape[0]] = const + powers @ single + quad
+            np.matmul(low, pair, out=mixed[:m])
+            quad = np.einsum("mi,mi->m", mixed[:m], low)
+            out[lo : lo + m] = const + powers @ single + quad
         return out
 
     return g, math.fsum(weighted)

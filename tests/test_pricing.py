@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.special import ndtr
 
 from smoothquad import linalg, models, pricing, rules1d
 from smoothquad.errors import OutOfDomain
-from smoothquad.sampling import RngSpec
+from smoothquad.sampling import RngSpec, SobolStream, inv_norm_cdf
 
 
 def bs_price(s0, k, sigma):
@@ -19,6 +20,76 @@ def smoothing_parts(model, v=None):
     prob = models.effective_bs(model)
     dec = linalg.rank_one_reduce(prob.Sigma, v)
     return prob, dec
+
+
+def masked_bs_call_core(s0, k, sigma):
+    """The conditional-call kernel as it was, masking the formula's inputs."""
+    s0, k, sigma = np.broadcast_arrays(
+        np.asarray(s0, dtype=float), np.asarray(k, dtype=float), np.asarray(sigma, dtype=float)
+    )
+    intrinsic = np.maximum(s0 - k, 0.0)
+    out = np.where(k <= 0.0, s0 - k, intrinsic)
+    live = (k > 0.0) & (sigma > 0.0) & (s0 > 0.0)
+    if np.any(live):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lg = np.log(np.where(live, s0, 1.0) / np.where(live, k, 1.0))
+            half = 0.5 * sigma * sigma
+            sig = np.where(live, sigma, 1.0)
+            d1 = np.clip((lg + half) / sig, -pricing._D_CLAMP, pricing._D_CLAMP)
+            d2 = np.clip((lg - half) / sig, -pricing._D_CLAMP, pricing._D_CLAMP)
+            price = ndtr(d1) * s0 - ndtr(d2) * k
+        price = np.maximum(price, intrinsic)
+        price = np.minimum(price, s0)
+        price = np.where(price < pricing._PRICE_FLOOR, 0.0, price)
+        out = np.where(live, price, out)
+    return out
+
+
+def batched_mean_se(f, draw, n):
+    """Mean and standard error as sampled before streaming.
+
+    Points come from ``draw`` in 2^16-row batches, each summed over
+    8,192-row blocks; the reference the streaming estimators must match.
+    """
+    sums, squares = [], []
+    for lo in range(0, n, 2**16):
+        points = draw(min(2**16, n - lo))
+        for b in range(0, points.shape[0], 2**13):
+            vals = np.asarray(f(points[b : b + 2**13]), dtype=float)
+            sums.append(float(np.sum(vals)))
+            squares.append(float(np.sum(vals * vals)))
+    mean = math.fsum(sums) / n
+    var = max(math.fsum(squares) / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / n)
+
+
+# Peak growth allowed from n = 2^16 to 2^18: the previous block's values
+# may be alive while the next block is drawn
+PEAK_SLACK = 2 * pricing._BLOCK * 8
+
+
+def traced_peaks(call, ns):
+    """Peak traced allocation of ``call(n)`` for each n, after a warm-up call."""
+    call(100)
+    peaks = []
+    for n in ns:
+        tracemalloc.start()
+        try:
+            call(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def normal_draw(spec, dim):
+    gen = spec.generator()
+    return lambda m: gen.standard_normal((m, dim))
+
+
+def sobol_normal_draw(dim):
+    stream = SobolStream(dim)
+    return lambda m: inv_norm_cdf(stream.points(m))
 
 
 class TestNormCdf:
@@ -91,6 +162,31 @@ class TestBsCall:
         assert out.shape == (2, 3)
         assert out[0, 2] == 2.0
         assert out[1, 2] == 3.0
+
+    def test_kernel_matches_masked_formula(self):
+        # every branch: k <= 0, sigma = 0, vector sigma, s0 from 1e-300 to 1e300
+        rng = np.random.default_rng(5)
+        for i in range(400):
+            n = int(rng.integers(1, 60))
+            s0 = np.exp(rng.normal(0.0, 3.0, n)) * 10.0 ** rng.choice([-300, -20, 0, 20, 300])
+            k = rng.normal(1.0, 1.5, n) if i % 3 else rng.choice([-1.0, 0.0, 1.0], n)
+            if i % 2:
+                sigma = rng.choice([0.0, 1e-9, 0.2, 3.0], n)
+            else:
+                sigma = float(rng.choice([0.0, 0.3]))
+            got = pricing._bs_call_core(s0, k, sigma)
+            want = masked_bs_call_core(s0, k, sigma)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        for args in [(1.0, 0.5, 0.2), (0.0, 1.0, 0.2), (1.0, 1.0, 0.0), (2.0, -1.0, 0.3)]:
+            got = pricing._bs_call_core(*args)
+            assert got.shape == () and got == masked_bs_call_core(*args)
+        s0 = np.array([[1.0], [2.0]])
+        k = np.array([0.5, 1.0, -1.0])
+        sigma = np.array([[[0.0]], [[0.3]]])
+        np.testing.assert_array_equal(
+            pricing._bs_call_core(s0, k, sigma), masked_bs_call_core(s0, k, sigma)
+        )
 
     def test_rejects_bad_spot(self):
         with pytest.raises(OutOfDomain):
@@ -261,9 +357,9 @@ class TestMonteCarlo:
         np.testing.assert_allclose(mean, vals.mean(), rtol=1e-10)
         np.testing.assert_allclose(se, vals.std() / 100.0, rtol=1e-6)
 
-    def test_draws_keep_batches_and_blocks(self):
-        # the sampler is asked for whole 2^16-row batches, the integrand
-        # for at most 8,192 rows at a time
+    def test_draws_one_block_at_a_time(self):
+        # the sampler is asked for at most 8,192 rows at a time, and the
+        # integrand gets each block as it was drawn
         drawn, evaluated = [], []
 
         def sampler(m):
@@ -277,8 +373,8 @@ class TestMonteCarlo:
 
         n = 2 * 2**16 + 8197
         mean, _ = pricing._mean_se_of(f, sampler, n)
-        assert drawn == [2**16, 2**16, 8197]
-        assert max(evaluated) <= 8192 and sum(evaluated) == n
+        assert drawn == [8192] * 17 + [5]
+        assert evaluated == drawn and sum(evaluated) == n
         assert mean == (n - 1) / 2
 
     def test_mean_se_matches_one_shot(self):
@@ -307,6 +403,61 @@ class TestMonteCarlo:
             pricing.price_mc(f, 10, RngSpec(1), runs=0)
         with pytest.raises(ValueError):
             pricing.mc_mean_se(f, 0, RngSpec(1))
+
+
+class TestStreamedSampling:
+    """Streaming one block at a time leaves every estimate bit for bit unchanged."""
+
+    N = 2**16 + 2**13 + 7
+
+    def integrand(self):
+        prob, dec = smoothing_parts(models.random_instance(5, 41))
+        return pricing.smoothed_integrand(prob, dec)
+
+    def test_price_mc(self):
+        g = self.integrand()
+        median, runs = pricing.price_mc(g, self.N, RngSpec(8), runs=3)
+        expected = [
+            batched_mean_se(g, normal_draw(RngSpec(8, run), g.dim), self.N)[0]
+            for run in range(3)
+        ]
+        assert list(runs) == expected
+        assert median == np.median(expected)
+
+    def test_mc_mean_se(self):
+        g = self.integrand()
+        expected = batched_mean_se(g, normal_draw(RngSpec(9), g.dim), self.N)
+        assert pricing.mc_mean_se(g, self.N, RngSpec(9)) == expected
+
+    def test_price_qmc(self):
+        g = self.integrand()
+        expected = batched_mean_se(g, sobol_normal_draw(g.dim), self.N)[0]
+        assert pricing.price_qmc(g, self.N) == expected
+
+    def test_price_cv_both_modes(self):
+        g = self.integrand()
+        residual, mean = pricing.control_variate(g)
+        qmc = mean + batched_mean_se(residual, sobol_normal_draw(g.dim), self.N)[0]
+        mc = mean + batched_mean_se(residual, normal_draw(RngSpec(10), g.dim), self.N)[0]
+        assert pricing.price_cv(g, self.N, mode="qmc") == qmc
+        assert pricing.price_cv(g, self.N, mode="mc", rng=RngSpec(10)) == mc
+
+    def test_traced_peak_does_not_grow_with_n(self):
+        # d = 25 smoothed integrand, dimension 24: one block of its points
+        # (and of the 25-column exponent built from them) is 1.6 MB, one
+        # 2^16-row draw 12.6 MB
+        prob, dec = smoothing_parts(models.random_instance(25, 2))
+        g = pricing.smoothed_integrand(prob, dec)
+        assert g.dim == 24
+        block = pricing._BLOCK * 25 * 8
+        calls = {
+            "qmc": lambda n: pricing.price_qmc(g, n),
+            "mc": lambda n: pricing.price_mc(g, n, RngSpec(3), runs=1),
+        }
+        for name, call in calls.items():
+            peaks = traced_peaks(call, (2**16, 2**18))
+            assert peaks[1] <= peaks[0] + PEAK_SLACK, (name, peaks)
+            assert peaks[1] < 4 * block, (name, peaks)
 
 
 class TestQuasiMonteCarlo:
@@ -540,6 +691,12 @@ class TestVarianceGamma:
         vals = pricing.vg_smoothed_integrand(model)(np.vstack(batches))
         price = pricing.price_vg_mc(model, 2**16 + 5, RngSpec(4))
         np.testing.assert_allclose(price, vals.mean(), rtol=1e-15)
+
+    def test_mc_peak_does_not_grow_with_n(self):
+        # one 2^16-row batch at a time: the spent one is let go first
+        model = models.random_vg_instance(6, 3)
+        peaks = traced_peaks(lambda n: pricing.price_vg_mc(model, n, RngSpec(3)), (2**16, 2**18))
+        assert peaks[1] <= peaks[0] + PEAK_SLACK, peaks
 
     def test_adaptive_matches_sampling(self):
         model = models.vg_example(modified=True)

@@ -87,6 +87,20 @@ class TestSobol:
         np.testing.assert_array_equal(second, reference_points(dim, start + 2, cross))
         assert stream.points(0).shape == (0, dim)
 
+    def test_block_stream_reuses_its_arrays(self):
+        stream, fresh = sampling.SobolStream(25, block=100), sampling.SobolStream(25)
+        first = stream.points(100)
+        np.testing.assert_array_equal(first, fresh.points(100))
+        for n in (37, 0, 100):
+            pts = stream.points(n)
+            assert n == 0 or np.shares_memory(pts, first)
+            np.testing.assert_array_equal(pts, fresh.points(n))
+        with pytest.raises(ValueError):
+            stream.points(101)
+        assert stream.next_index == fresh.next_index
+        with pytest.raises(ValueError):
+            sampling.SobolStream(2, block=0)
+
     def test_top_of_index_space(self):
         stream = sampling.SobolStream(3, 2**32 - 4)
         np.testing.assert_array_equal(stream.points(4), reference_points(3, 2**32 - 4, 4))
@@ -149,6 +163,17 @@ class TestInvNormCdf:
         with pytest.raises(OutOfDomain):
             sampling.inv_norm_cdf(np.array([0.4, 1.0]))
 
+    def test_writes_in_place(self):
+        ps = np.linspace(0.01, 0.99, 99)
+        expected = sampling.inv_norm_cdf(ps)
+        out = sampling.inv_norm_cdf(ps, out=ps)
+        assert out is ps
+        np.testing.assert_array_equal(out, expected)
+        bad = np.array([0.5, 1.0])
+        with pytest.raises(OutOfDomain):
+            sampling.inv_norm_cdf(bad, out=bad)
+        np.testing.assert_array_equal(bad, [0.5, 1.0])
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(sampling.inv_norm_cdf(0.25), float)
         assert sampling.inv_norm_cdf(np.array([0.25, 0.5])).shape == (2,)
@@ -196,3 +221,23 @@ class TestRngStreams:
     def test_guards(self):
         with pytest.raises(ValueError):
             sampling.RngSpec(1, -2)
+
+    def test_negative_seed_is_rejected(self):
+        # -1 and 2^64 - 1 used to be the same Philox key
+        with pytest.raises(ValueError):
+            sampling.RngSpec(-1)
+        with pytest.raises(ValueError):
+            sampling.RngSpec(2**64)
+        top = sampling.RngSpec(2**64 - 1).generator().standard_normal(4)
+        zero = sampling.RngSpec(0).generator().standard_normal(4)
+        assert not np.array_equal(top, zero)
+
+    def test_stream_past_64_bits_is_rejected(self):
+        # stream 2^64 used to repeat stream 0
+        with pytest.raises(ValueError):
+            sampling.RngSpec(0, 2**64)
+        with pytest.raises(ValueError):
+            sampling.RngSpec(0).stream(2**64)
+        last = sampling.RngSpec(0, 2**64 - 1).generator().standard_normal(4)
+        first = sampling.RngSpec(0, 0).generator().standard_normal(4)
+        assert not np.array_equal(last, first)
