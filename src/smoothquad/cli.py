@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,9 +42,7 @@ ACRONYMS = (
     "MC+CS+CV",
     "QMC+CS+CV",
 )
-VG_ACRONYMS = ("MC", "MC+CS", "aSG+CS", "aSG+CS2")
 SAMPLING_METHODS = ("MC", "QMC", "MC+CS", "QMC+CS", "MC+CS+CV", "QMC+CS+CV")
-ADAPTIVE_METHODS = ("aSG", "aSG+CS", "aSG+CS2")
 MC_RUNS = 20
 CSV_HEADER = "method,n_points,estimate,rel_error,seconds,status"
 
@@ -151,8 +149,8 @@ def _build_config(raw) -> ExperimentConfig:
         cfg.model = "vg"
     if "d" in raw:
         cfg.d = _parse_int(raw["d"][0], "d")
-        if cfg.d < 1:
-            raise ConfigInvalid(f"d must be positive, got {cfg.d}")
+        if cfg.d < 2:
+            raise ConfigInvalid(f"d must be at least 2, got {cfg.d}")
     if "seed" in raw:
         cfg.seed = _parse_seed(raw["seed"][0])
     if "strike_mode" in raw:
@@ -237,12 +235,12 @@ def _bs_reference(model) -> float:
         return _partial_reference(exc, pricing.reference_tolerance(model.d))
 
 
-def _vg_reference(model, tol_schedule, v=None) -> float:
+def _vg_reference(model, tol_schedule) -> float:
     tol_min = min(tol_schedule)
     for factor in (100.0, 10.0, 1.0):
         tol = tol_min / factor
         try:
-            value, _ = pricing.price_vg_smoothed(model, tol, v=v)
+            value, _ = pricing.price_vg_smoothed(model, tol)
             return value
         except OrderOutOfRange:
             continue
@@ -253,63 +251,118 @@ def _vg_reference(model, tol_schedule, v=None) -> float:
     )
 
 
-def _median_of_runs(one_run: Callable[[int], float]) -> float:
-    return float(np.median([one_run(run) for run in range(MC_RUNS)]))
-
-
 def _trace_writer(enabled):
+    """``--trace`` hook: one ``alpha | g | evaluations | eta`` line per accepted index."""
     if not enabled:
         return None
-    return lambda line: print(line, file=sys.stderr)
+
+    def write(state, alpha, g):
+        print(f"{alpha} | {g:.6e} | {state.evaluations} | {state.eta:.6e}", file=sys.stderr)
+
+    return write
 
 
-def _bs_row_tasks(cfg, model, trace):
-    """Build one closure per CSV row, in config order."""
+def _bs_methods(cfg, model, trace):
+    """Method table of a ``converge`` sweep, and the covariance it smooths.
+
+    Each sampling method maps to a pricer of a budget n, each adaptive
+    one to a pricer of a tolerance returning (value, state); ``aSG+CS2``
+    maps to a factory taking the found direction and its lambda1^2.
+    """
     prob = models.effective_bs(model)
     dec = linalg.rank_one_reduce(prob.Sigma)
     f_raw = pricing.raw_integrand(prob, dec)
     g_cs = pricing.smoothed_integrand(prob, dec)
     seed = cfg.seed if cfg.seed is not None else 0
-    tasks = []
     # built once, in the first control-variate row, so a failure is that row's status
     control_variate = functools.cache(lambda: pricing.control_variate(g_cs))
 
+    def mc(f):
+        return lambda n: pricing.price_mc(f, n, RngSpec(seed))[0]
+
+    def qmc(f):
+        return lambda n: pricing.price_qmc(f, n)
+
     def with_cv(sample):
-        residual, mean = control_variate()
-        return mean + sample(residual)
+        def price(n):
+            residual, mean = control_variate()
+            return mean + sample(residual)(n)
 
-    def estimator(method):
-        if method == "MC":
-            return lambda n: pricing.price_mc(f_raw, n, RngSpec(seed))[0]
-        if method == "QMC":
-            return lambda n: pricing.price_qmc(f_raw, n)
-        if method == "MC+CS":
-            return lambda n: pricing.price_mc(g_cs, n, RngSpec(seed))[0]
-        if method == "QMC+CS":
-            return lambda n: pricing.price_qmc(g_cs, n)
-        if method == "MC+CS+CV":
-            return lambda n: with_cv(lambda f: pricing.price_mc(f, n, RngSpec(seed))[0])
-        if method == "QMC+CS+CV":
-            return lambda n: with_cv(lambda f: pricing.price_qmc(f, n))
-        raise ConfigInvalid(f"method {method} is not a sampling method")
+        return price
 
-    def adaptive(method):
-        if method == "aSG+CS2":
-            try:
-                v, _ = linalg.best_binary_v(prob.Sigma)
-            except DimensionTooLarge as exc:
-                return functools.partial(_raise, exc)
-            f = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
-        else:
-            f = f_raw if method == "aSG" else g_cs
+    def asg(f):
         return functools.partial(pricing.price_asg, f, trace=trace)
 
+    def cs2(v, _):
+        return asg(pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v)))
+
+    table = {
+        "MC": mc(f_raw),
+        "QMC": qmc(f_raw),
+        "aSG": asg(f_raw),
+        "MC+CS": mc(g_cs),
+        "QMC+CS": qmc(g_cs),
+        "aSG+CS": asg(g_cs),
+        "aSG+CS2": cs2,
+        "MC+CS+CV": with_cv(mc),
+        "QMC+CS+CV": with_cv(qmc),
+    }
+    return table, prob.Sigma
+
+
+def _vg_methods(cfg, model, trace):
+    """Method table of a ``vg`` sweep, as in :func:`_bs_methods`, and the base covariance.
+
+    Prints the base covariance's eigenvalues; the ``aSG+CS2`` factory
+    prints the direction it is given.
+    """
+    base = models.vg_base_matrix(model)
+    lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
+    print(f"lambda_sq {lams}")
+    seed = cfg.seed if cfg.seed is not None else 0
+
+    def mc(raw):
+        def price(n):
+            runs = [
+                pricing.price_vg_mc(model, n, RngSpec(seed, stream_id=run), raw=raw)
+                for run in range(MC_RUNS)
+            ]
+            return float(np.median(runs))
+
+        return price
+
+    asg = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
+
+    def cs2(v, lam1_sq):
+        print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
+        return functools.partial(asg, v=v)
+
+    return {"MC": mc(True), "MC+CS": mc(False), "aSG+CS": asg, "aSG+CS2": cs2}, base
+
+
+def _row_tasks(cfg, table, sigma):
+    """One closure per CSV row, in config order, from a method table.
+
+    A sampling method gives one row per budget, an adaptive one one row
+    per tolerance.  The binary direction search on ``sigma`` runs only
+    for ``aSG+CS2``; above the search's cap its rows get the status
+    ``DimensionTooLarge``.
+    """
+    tasks = []
     for method in cfg.methods:
+        if method not in table:
+            raise ConfigInvalid(
+                f"method {method} is not available for {cfg.model} runs; allowed: {list(table)}"
+            )
+        price = table[method]
+        if method == "aSG+CS2":
+            try:
+                price = price(*linalg.best_binary_v(sigma))
+            except DimensionTooLarge as exc:
+                price = functools.partial(_raise, exc)
         if method in SAMPLING_METHODS:
-            est = estimator(method)
-            tasks.extend(_sampling_task(method, est, n) for n in cfg.budgets)
+            tasks.extend(_sampling_task(method, price, n) for n in cfg.budgets)
         else:
-            price = adaptive(method)
             tasks.extend(_adaptive_task(method, price, tol) for tol in cfg.tol_schedule)
     return tasks
 
@@ -361,46 +414,6 @@ def _adaptive_task(method, price, tol):
     return run
 
 
-def _vg_row_tasks(cfg, model, base, trace):
-    """Row closures for a vg sweep, in config order.
-
-    Only an ``aSG+CS2`` method runs the binary direction search on the
-    base covariance ``base`` (and prints its result); above the search's
-    cap its rows get the status ``DimensionTooLarge``.
-    """
-    seed = cfg.seed if cfg.seed is not None else 0
-    tasks = []
-    for method in cfg.methods:
-        if method not in VG_ACRONYMS:
-            raise ConfigInvalid(
-                f"method {method} is not available for vg runs; "
-                f"allowed: {list(VG_ACRONYMS)}"
-            )
-        if method in ("MC", "MC+CS"):
-            raw = method == "MC"
-
-            def est(n, raw=raw):
-                return _median_of_runs(
-                    lambda run: pricing.price_vg_mc(
-                        model, n, RngSpec(seed, stream_id=run), raw=raw
-                    )
-                )
-
-            tasks.extend(_sampling_task(method, est, n) for n in cfg.budgets)
-        else:
-            price = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
-            if method == "aSG+CS2":
-                try:
-                    v, lam1_v = linalg.best_binary_v(base)
-                except DimensionTooLarge as exc:
-                    price = functools.partial(_raise, exc)
-                else:
-                    print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_v:.5f}")
-                    price = functools.partial(price, v=v)
-            tasks.extend(_adaptive_task(method, price, tol) for tol in cfg.tol_schedule)
-    return tasks
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -431,18 +444,19 @@ def _run_tasks(tasks, ref):
     return [task(ref) for task in tasks]
 
 
-def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, prepare) -> str:
+def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, reference) -> str:
     """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
-    ``prepare(model)`` returns the row closures, in config order, and the
-    reference price.
+    ``methods(model)`` returns the method table and the covariance of the
+    direction search, ``reference(model)`` the reference price.
     """
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
     model = build_instance(cfg)
     if cfg.model != kind:
         raise ConfigInvalid(wrong_model)
-    tasks, ref = prepare(model)
+    tasks = _row_tasks(cfg, *methods(model))
+    ref = reference(model)
     records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")
     out.write_text(_records_to_csv(records), encoding="utf-8")
@@ -454,21 +468,18 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, prepare) -> str:
 def run_convergence(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Black-Scholes sweep and write the CSV."""
     wrong = "converge expects a bs model; use the vg verb instead"
-    return _sweep(
-        cfg, "bs", wrong, lambda m: (_bs_row_tasks(cfg, m, trace), _bs_reference(m))
-    )
+    return _sweep(cfg, "bs", wrong, lambda m: _bs_methods(cfg, m, trace), _bs_reference)
 
 
 def run_vg(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Variance-Gamma sweep and write the CSV."""
-
-    def prepare(model):
-        base = models.vg_base_matrix(model)
-        lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
-        print(f"lambda_sq {lams}")
-        return _vg_row_tasks(cfg, model, base, trace), _vg_reference(model, cfg.tol_schedule)
-
-    return _sweep(cfg, "vg", "vg expects a vg model or an example", prepare)
+    return _sweep(
+        cfg,
+        "vg",
+        "vg expects a vg model or an example",
+        lambda m: _vg_methods(cfg, m, trace),
+        lambda m: _vg_reference(m, cfg.tol_schedule),
+    )
 
 
 def report_decomposition(cfg: ExperimentConfig) -> str:
@@ -512,11 +523,17 @@ def emit_plot(csv_path, out_path=None) -> str:
     if not path.exists():
         raise FileNotFoundError(f"no such CSV: {csv_path}")
     with path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        missing = [c for c in ("method", "rel_error") if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ConfigInvalid(f"{path.name} has no {' or '.join(missing)} column")
+        rows = list(reader)
     methods = []
     for row in rows:
         m = row["method"]
-        if m not in methods and row.get("rel_error"):
+        if m not in PLOT_STYLE:
+            raise ConfigInvalid(f"{path.name} has unknown method {m!r}")
+        if m not in methods and row["rel_error"]:
             methods.append(m)
     out = Path(out_path) if out_path else path.with_suffix(".gp")
     lines = [

@@ -205,8 +205,7 @@ def _mean_se_of(f, sampler, n):
     it comes, so the working set is one block of points, 1.6 MB at
     d = 25, whatever ``n`` is.  Philox normals and Sobol points do not
     depend on how a stream is split, so the draws are the same for any
-    block size; a sampler whose draws do depend on it (the Variance-Gamma
-    one) draws ``_DRAW`` rows at a time and serves blocks from them.
+    block size.
     """
     sums = []
     squares = []
@@ -218,31 +217,6 @@ def _mean_se_of(f, sampler, n):
     second = math.fsum(squares) / n
     var = max(second - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
-
-
-def _in_batches(draw, n):
-    """Sampler serving blocks from ``draw(m)`` batches of ``_DRAW`` rows.
-
-    For draws that depend on the batch size: the batches are those of
-    ``_DRAW`` rows and then the rest of ``n``, whatever blocks are asked
-    for.  ``_DRAW`` is a multiple of ``_BLOCK``, so no block straddles
-    two batches.
-    """
-    batch = np.empty((0, 0))
-    taken = 0
-    drawn = 0
-
-    def sampler(m):
-        nonlocal batch, taken, drawn
-        if taken == batch.shape[0]:
-            batch = None  # the spent batch goes before the next is drawn
-            batch = draw(min(_DRAW, n - drawn))
-            drawn += batch.shape[0]
-            taken = 0
-        taken += m
-        return batch[taken - m : taken]
-
-    return sampler
 
 
 def _block_buffer(n, dim):
@@ -276,6 +250,34 @@ def _sobol_normal_sampler(dim, n):
     def sampler(m):
         u = stream.points(m)
         return inv_norm_cdf(u, out=u)
+
+    return sampler
+
+
+def _vg_sampler(gen, shape, scale, n, buf):
+    """Sampler of (y, z) rows for Variance-Gamma, each block in the leading rows of ``buf``.
+
+    Column 0 takes the Gamma(``shape``, ``scale``) time changes of each
+    ``_DRAW``-row batch of the ``n`` rows, drawn at the batch's first
+    block and before any of its normals; the other columns take each
+    block's own normal draw.  Normals do not depend on how a stream is
+    split, so the rows are those of one Gamma and then one normal draw
+    per batch.  ``_DRAW`` is a multiple of ``_BLOCK``, so no block
+    straddles two batches.
+    """
+    y = None
+    served = 0
+
+    def sampler(m):
+        nonlocal y, served
+        at = served % _DRAW
+        if at == 0:
+            y = gen.gamma(shape, scale, min(_DRAW, n - served))
+        out = buf[:m]
+        out[:, 0] = y[at : at + m]
+        out[:, 1:] = gen.standard_normal((m, buf.shape[1] - 1))
+        served += m
+        return out
 
     return sampler
 
@@ -389,11 +391,7 @@ def _vg_forward_weights(model):
     return w, math.exp(-model.r * model.T)
 
 
-def vg_smoothed_integrand(
-    model: VarianceGammaBasket,
-    dec: Optional[linalg.SmoothingDecomposition] = None,
-    v=None,
-) -> Integrand:
+def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
     """Smoothed Variance-Gamma integrand over (y, zbar).
 
     The first coordinate is the Gamma time change value y; the rest
@@ -406,8 +404,7 @@ def vg_smoothed_integrand(
     """
     w, disc = _vg_forward_weights(model)
     w_sel, w_rest = _split_weights(w, v)
-    if dec is None:
-        dec = linalg.rank_one_reduce(vg_base_matrix(model), v)
+    dec = linalg.rank_one_reduce(vg_base_matrix(model), v)
     loadings = dec.V[:, 1:] * np.sqrt(dec.lambda_sq[1:])
     lam1_sq = dec.lambda_sq[0]
     lam1 = math.sqrt(lam1_sq)
@@ -428,14 +425,10 @@ def vg_smoothed_integrand(
     return Integrand(dim=model.d, func=func, label="VG-CS" if v is None else "VG-CS2")
 
 
-def vg_raw_integrand(
-    model: VarianceGammaBasket,
-    dec: Optional[linalg.SmoothingDecomposition] = None,
-) -> Integrand:
+def vg_raw_integrand(model: VarianceGammaBasket) -> Integrand:
     """Kinked Variance-Gamma payoff over (y, z) in rotated coordinates."""
     w, disc = _vg_forward_weights(model)
-    if dec is None:
-        dec = linalg.rank_one_reduce(vg_base_matrix(model))
+    dec = linalg.rank_one_reduce(vg_base_matrix(model))
     transform = dec.V * np.sqrt(dec.lambda_sq)
     theta = model.theta
     K = model.K
@@ -451,13 +444,7 @@ def vg_raw_integrand(
     return Integrand(dim=model.d + 1, func=func, label="VG-raw")
 
 
-def price_vg_smoothed(
-    model: VarianceGammaBasket,
-    tol: float,
-    v=None,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    trace=None,
-):
+def price_vg_smoothed(model: VarianceGammaBasket, tol: float, v=None, trace=None):
     """Adaptive sparse-grid price of a Variance-Gamma basket.
 
     The time change is integrated with generalized Gauss-Laguerre
@@ -477,14 +464,13 @@ def price_vg_smoothed(
 
     wrapped = Integrand(dim=model.d, func=substituted, label=g.label)
     seqs = [laguerre_sequence(alpha)] + [genz_keister_sequence()] * (model.d - 1)
-    return price_asg(wrapped, tol, seqs=seqs, max_evals=max_evals, trace=trace)
+    return price_asg(wrapped, tol, seqs=seqs, trace=trace)
 
 
 def price_vg_mc(
     model: VarianceGammaBasket,
     n: int,
     rng: RngSpec,
-    v=None,
     raw: bool = False,
     return_se: bool = False,
 ):
@@ -493,24 +479,16 @@ def price_vg_mc(
     Draws the time change from its Gamma law and the Gaussian factors
     from the standard normal, then averages the smoothed integrand
     (or the raw payoff when ``raw`` is set, using the full factor
-    vector).
+    vector).  The rows stream through one block buffer, as in
+    :func:`price_mc`; the Gammas of each ``_DRAW`` rows come from the
+    stream before their normals.
     """
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
-    integrand = (
-        vg_raw_integrand(model) if raw else vg_smoothed_integrand(model, v=v)
-    )
-    gen = rng.generator()
-    shape = model.T / model.nu
-    scale = model.nu
-    inner = integrand.dim - 1
-
-    def draw(m):
-        y = gen.gamma(shape, scale, m)
-        z = gen.standard_normal((m, inner))
-        return np.column_stack([y, z])
-
-    mean, se = _mean_se_of(integrand, _in_batches(draw, n), n)
+    integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
+    buf = _block_buffer(n, integrand.dim)
+    sampler = _vg_sampler(rng.generator(), model.T / model.nu, model.nu, n, buf)
+    mean, se = _mean_se_of(integrand, sampler, n)
     return (mean, se) if return_se else mean
 
 

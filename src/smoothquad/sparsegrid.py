@@ -231,10 +231,9 @@ def total_degree_quadrature(f, d, q, seqs):
 class AdaptiveState:
     """Index sets and bookkeeping of the dimension-adaptive loop.
 
-    ``old_set`` is the accepted (admissible) region, ``active`` maps each
-    frontier index to its local estimator g_alpha = |delta contribution|,
-    and ``contributions`` keeps the signed contribution of every index
-    examined so far.  ``value`` is the accumulated quadrature sum over
+    ``old_set`` is the accepted (admissible) region and ``active`` maps
+    each frontier index to its local estimator g_alpha = |delta
+    contribution|.  ``value`` is the accumulated quadrature sum over
     old and active indices, ``eta`` the global estimate sum(g) over the
     active set, kept as an exact running sum: it always equals
     ``math.fsum(active.values())``.  ``evaluations`` counts the nodes of
@@ -248,7 +247,6 @@ class AdaptiveState:
     dim: int
     old_set: set = field(default_factory=set)
     active: dict = field(default_factory=dict)
-    contributions: dict = field(default_factory=dict)
     value: float = 0.0
     eta: float = 0.0
     evaluations: int = 0
@@ -333,7 +331,6 @@ def adaptive_quadrature(
     seqs,
     max_evals=DEFAULT_MAX_EVALS,
     trace=None,
-    audit=None,
 ):
     """Dimension-adaptive sparse-grid quadrature.
 
@@ -369,9 +366,9 @@ def adaptive_quadrature(
         Budget of difference-grid nodes (``state.evaluations``);
         exceeding it raises BudgetExhausted carrying the partial state.
     trace : callable, optional
-        Receives one formatted line per accepted index.
-    audit : callable, optional
-        Receives the state after every acceptance round (testing hook).
+        Called as ``trace(state, alpha, g)`` after each acceptance round,
+        with the accepted index ``alpha``, its local estimator ``g`` and
+        the state once its admitted children are added.
 
     Returns
     -------
@@ -403,7 +400,6 @@ def adaptive_quadrature(
             state.distinct_points += new
             g = abs(value)
             state.active[alpha] = g
-            state.contributions[alpha] = value
             state.value += value
             _add_exact(partials, g)
             heapq.heappush(heap, (-g, alpha))
@@ -427,11 +423,7 @@ def adaptive_quadrature(
         add_indices(admissible_children(alpha, state.old_set))
         state.eta = math.fsum(partials)
         if trace is not None:
-            trace(
-                f"{alpha} | {g:.6e} | {state.evaluations} | {state.eta:.6e}"
-            )
-        if audit is not None:
-            audit(state)
+            trace(state, alpha, g)
     return state.value, state.eta, state
 
 

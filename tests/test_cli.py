@@ -99,6 +99,7 @@ class TestConfigParsing:
             "model = bs\nd = 2\nseed = 1\nnot a key value line\n",
             "model = bs\nseed = 1\n",
             "model = bs\nd = 2\n",
+            "model = bs\nd = 1\nseed = 1\n",
             "model = vg\nd = 3\nseed = 1\ntheta = 0.1\n",
             "model = vg\nd = 2\nseed = 1\nnu = 0\n",
             "model = vg\nd = 2\nseed = 1\ntheta_range = 0.5\n",
@@ -300,6 +301,30 @@ class TestVgVerb:
         )
         assert cli.main(["vg", "--config", conf]) == 2
 
+    def test_sampling_rows_are_medians_of_streams(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
+        conf = write_config(
+            tmp_path / "vg.conf",
+            "model = vg\nd = 3\nseed = 5\nmethods = MC\nmethods = MC+CS\n"
+            "budgets = 18\nbudgets = 8200\n",
+        )
+        assert cli.main(["vg", "--config", conf, "--out", str(tmp_path / "vg")]) == 0
+        lines = (tmp_path / "vg.csv").read_text(encoding="utf-8").strip().splitlines()
+        rows = [row.split(",") for row in lines[1:]]
+        assert [(r[0], r[1], r[-1]) for r in rows] == [
+            ("MC", "18", "ok"),
+            ("MC", "8200", "ok"),
+            ("MC+CS", "18", "ok"),
+            ("MC+CS", "8200", "ok"),
+        ]
+        model = models.random_vg_instance(3, 5)
+        for method, n, estimate, *_ in rows:
+            runs = [
+                pricing.price_vg_mc(model, int(n), RngSpec(5, stream_id=r), raw=method == "MC")
+                for r in range(20)
+            ]
+            assert float(estimate) == float(np.median(runs))
+
     def test_undefined_skew_is_numerical_failure(self, tmp_path):
         conf = write_config(
             tmp_path / "vg.conf",
@@ -449,6 +474,21 @@ class TestPlotVerb:
 
     def test_missing_csv(self, tmp_path):
         assert cli.main(["plot", str(tmp_path / "absent.csv")]) == 2
+
+    def test_unknown_method_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "method,n_points,estimate,rel_error,seconds,status\nFOO,10,1.0,0.1,0.0,ok\n"
+        )
+        assert cli.main(["plot", str(bad)]) == 2
+        assert "config error: bad.csv has unknown method 'FOO'" in capsys.readouterr().err
+
+    def test_missing_columns_are_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        assert cli.main(["plot", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: bad.csv has no method or rel_error column" in err
 
 
 class TestModuleEntryPoint:

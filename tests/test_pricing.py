@@ -693,10 +693,13 @@ class TestVarianceGamma:
         np.testing.assert_allclose(price, vals.mean(), rtol=1e-15)
 
     def test_mc_peak_does_not_grow_with_n(self):
-        # one 2^16-row batch at a time: the spent one is let go first
+        # one block of rows at a time, beside one batch of Gammas
         model = models.random_vg_instance(6, 3)
         peaks = traced_peaks(lambda n: pricing.price_vg_mc(model, n, RngSpec(3)), (2**16, 2**18))
         assert peaks[1] <= peaks[0] + PEAK_SLACK, peaks
+        model = models.random_vg_instance(25, 3)
+        (peak,) = traced_peaks(lambda n: pricing.price_vg_mc(model, n, RngSpec(3)), (2**18,))
+        assert peak < 4 * pricing._BLOCK * 25 * 8, peak
 
     def test_adaptive_matches_sampling(self):
         model = models.vg_example(modified=True)
@@ -718,12 +721,11 @@ class TestVarianceGamma:
 
     def test_direction_validation(self):
         model = models.vg_example()
-        dec = linalg.rank_one_reduce(models.vg_base_matrix(model))
         with pytest.raises(ValueError):
             pricing.vg_smoothed_integrand(model, v=[0.5, 1.0, 0.0])
         for v in ([1.0], [1.0, 0.0], [0.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="direction must"):
-                pricing.vg_smoothed_integrand(model, dec, v=v)
+                pricing.vg_smoothed_integrand(model, v=v)
 
     def test_mc_needs_samples(self):
         model = models.vg_example()

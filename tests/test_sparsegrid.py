@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from smoothquad import linalg, models, pricing, sparsegrid
+from smoothquad import cli, linalg, models, pricing, sparsegrid
 from smoothquad.errors import BudgetExhausted, NonFiniteIntegrand
 from smoothquad.rules1d import (
     gauss_hermite_sequence,
@@ -209,17 +209,28 @@ class TestAdaptiveQuadrature:
     def test_deterministic_reruns(self):
         f = lambda z: np.exp(0.4 * z.sum(axis=1)) + np.sin(z[:, 0])
         lines_a, lines_b = [], []
-        va, ea, sa = adaptive_quadrature(f, 3, 1e-9, GH, trace=lines_a.append)
-        vb, eb, sb = adaptive_quadrature(f, 3, 1e-9, GH, trace=lines_b.append)
+
+        def recorder(lines):
+            return lambda state, alpha, g: lines.append(
+                (alpha, g, state.evaluations, state.eta)
+            )
+
+        va, ea, sa = adaptive_quadrature(f, 3, 1e-9, GH, trace=recorder(lines_a))
+        vb, eb, sb = adaptive_quadrature(f, 3, 1e-9, GH, trace=recorder(lines_b))
         assert va == vb and ea == eb
         assert lines_a == lines_b
         assert sa.old_set == sb.old_set
         assert sa.evaluations == sb.evaluations
 
-    def test_trace_line_format(self):
-        lines = []
-        f = lambda z: np.exp(0.3 * z.sum(axis=1))
-        adaptive_quadrature(f, 2, 1e-6, GH, trace=lines.append)
+    def test_trace_line_format(self, tmp_path, capsys):
+        conf = tmp_path / "t.conf"
+        conf.write_text(
+            "model = bs\nd = 3\nseed = 9\nmethods = aSG+CS\ntol_schedule = 1e-6\n",
+            encoding="utf-8",
+        )
+        out = str(tmp_path / "t")
+        assert cli.main(["converge", "--config", str(conf), "--out", out, "--trace"]) == 0
+        lines = capsys.readouterr().err.splitlines()
         assert lines
         pattern = re.compile(
             r"^\(\d+(, \d+)*\) \| \d\.\d{6}e[+-]\d+ \| \d+ \| \d\.\d{6}e[+-]\d+$"
@@ -230,12 +241,12 @@ class TestAdaptiveQuadrature:
     def test_audit_hook_sees_consistent_state(self):
         audits = []
 
-        def audit(state):
+        def audit(state, alpha, g):
             state.verify()
             audits.append(len(state.old_set))
 
         f = lambda z: np.exp(0.4 * z.sum(axis=1))
-        _, _, state = adaptive_quadrature(f, 3, 1e-9, GH, audit=audit)
+        _, _, state = adaptive_quadrature(f, 3, 1e-9, GH, trace=audit)
         assert audits == sorted(audits)
         assert len(audits) == len(state.old_set)
         state.verify()
@@ -314,7 +325,7 @@ class TestTensorValuesKept:
         f = counting(lambda z: np.exp(0.3 * z[:, 0] - 0.2 * z[:, 1] + 0.1 * z[:, 2]))
         sizes = []
         _, _, state = adaptive_quadrature(
-            f, 3, 1e-10, gk, audit=lambda s: sizes.append(len(s.old_set) + len(s.active))
+            f, 3, 1e-10, gk, trace=lambda s, *_: sizes.append(len(s.old_set) + len(s.active))
         )
         grew = sum(b > a for a, b in zip([1] + sizes, sizes))
         assert len(f.calls) == 1 + grew
