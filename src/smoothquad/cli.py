@@ -217,22 +217,35 @@ def build_instance(cfg: ExperimentConfig):
     )
 
 
-def _partial_reference(exc: BudgetExhausted, tol: float) -> float:
-    """Partial value of a reference that ran out of budget, reported on stderr."""
-    state = exc.state
-    print(
-        f"reference not converged: BudgetExhausted at tol {tol:g}, "
-        f"eta {state.eta:.3e} after {state.evaluations} evaluations",
-        file=sys.stderr,
-    )
-    return state.value
+def _settle(run):
+    """``(value, state, status)`` of an adaptive run; ``run()`` returns (value, state).
+
+    A run that exhausts its evaluation budget settles on its partial
+    state with the status ``BudgetExhausted``; any other error propagates.
+    """
+    try:
+        value, state = run()
+        return value, state, "ok"
+    except BudgetExhausted as exc:
+        return exc.state.value, exc.state, "BudgetExhausted"
+
+
+def _reference(run, tol) -> float:
+    """Value of a reference run at ``tol``; a budget stop is reported on stderr."""
+    value, state, status = _settle(run)
+    if status != "ok":
+        print(
+            f"reference not converged: {status} at tol {tol:g}, "
+            f"eta {state.eta:.3e} after {state.evaluations} evaluations",
+            file=sys.stderr,
+        )
+    return value
 
 
 def _bs_reference(model) -> float:
-    try:
-        return pricing.reference_price(model)
-    except BudgetExhausted as exc:
-        return _partial_reference(exc, pricing.reference_tolerance(model.d))
+    return _reference(
+        lambda: pricing.reference_price(model), pricing.reference_tolerance(model.d)
+    )
 
 
 def _vg_reference(model, tol_schedule) -> float:
@@ -240,15 +253,19 @@ def _vg_reference(model, tol_schedule) -> float:
     for factor in (100.0, 10.0, 1.0):
         tol = tol_min / factor
         try:
-            value, _ = pricing.price_vg_smoothed(model, tol)
-            return value
+            return _reference(lambda: pricing.price_vg_smoothed(model, tol), tol)
         except OrderOutOfRange:
-            continue
-        except BudgetExhausted as exc:
-            return _partial_reference(exc, tol)
+            pass
     raise SmoothQuadError(
         f"no feasible reference tolerance at or below {tol_min}"
     )
+
+
+def _reference_of(cfg, model) -> float:
+    """Reference price of the configured instance of either model."""
+    if cfg.model == "bs":
+        return _bs_reference(model)
+    return _vg_reference(model, cfg.tol_schedule)
 
 
 def _trace_writer(enabled):
@@ -348,22 +365,21 @@ def _row_tasks(cfg, table, sigma):
     for ``aSG+CS2``; above the search's cap its rows get the status
     ``DimensionTooLarge``.
     """
+    missing = [m for m in cfg.methods if m not in table]
+    if missing:
+        raise ConfigInvalid(
+            f"method {missing[0]} is not available for {cfg.model} runs; allowed: {list(table)}"
+        )
     tasks = []
     for method in cfg.methods:
-        if method not in table:
-            raise ConfigInvalid(
-                f"method {method} is not available for {cfg.model} runs; allowed: {list(table)}"
-            )
         price = table[method]
         if method == "aSG+CS2":
             try:
                 price = price(*linalg.best_binary_v(sigma))
             except DimensionTooLarge as exc:
                 price = functools.partial(_raise, exc)
-        if method in SAMPLING_METHODS:
-            tasks.extend(_sampling_task(method, price, n) for n in cfg.budgets)
-        else:
-            tasks.extend(_adaptive_task(method, price, tol) for tol in cfg.tol_schedule)
+        xs = cfg.budgets if method in SAMPLING_METHODS else cfg.tol_schedule
+        tasks.extend(_task(method, price, x) for x in xs)
     return tasks
 
 
@@ -372,44 +388,30 @@ def _raise(exc, *args):
     raise exc
 
 
-def _sampling_task(method, est, n):
-    def run(ref):
-        start = time.monotonic()
-        try:
-            value = est(n)
-        except SmoothQuadError as exc:
-            return pricing.EstimateRecord(
-                method, n, math.nan, None, time.monotonic() - start,
-                status=type(exc).__name__,
-            )
-        seconds = time.monotonic() - start
-        rel = abs(value / ref - 1.0) if ref else None
-        return pricing.EstimateRecord(method, n, value, rel, seconds)
+def _task(method, price, x):
+    """Row closure pricing at ``x``: a budget for a sampling method, a tolerance otherwise.
 
-    return run
-
-
-def _adaptive_task(method, price, tol):
-    """Row closure for one adaptive run; ``price(tol)`` returns (value, state)."""
+    A sampling row counts its budget.  An adaptive ``price(tol)``
+    returns (value, state), read by :func:`_settle`, and its row counts
+    the run's evaluations.  A row that raises gets its error as its
+    status and no estimate; an adaptive one then counts 0.
+    """
+    sampling = method in SAMPLING_METHODS
 
     def run(ref):
         start = time.monotonic()
+        n = x if sampling else 0
         try:
-            value, state = price(tol)
-            status = "ok"
-        except BudgetExhausted as exc:
-            value, state = exc.state.value, exc.state
-            status = "BudgetExhausted"
+            if sampling:
+                value, status = price(x), "ok"
+            else:
+                value, state, status = _settle(lambda: price(x))
+                n = state.evaluations
+            rel = abs(value / ref - 1.0) if ref else None
         except SmoothQuadError as exc:
-            return pricing.EstimateRecord(
-                method, 0, math.nan, None, time.monotonic() - start,
-                status=type(exc).__name__,
-            )
+            value, rel, status = math.nan, None, type(exc).__name__
         seconds = time.monotonic() - start
-        rel = abs(value / ref - 1.0) if ref else None
-        return pricing.EstimateRecord(
-            method, state.evaluations, value, rel, seconds, status=status
-        )
+        return pricing.EstimateRecord(method, n, value, rel, seconds, status=status)
 
     return run
 
@@ -444,11 +446,11 @@ def _run_tasks(tasks, ref):
     return [task(ref) for task in tasks]
 
 
-def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, reference) -> str:
+def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods) -> str:
     """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
     ``methods(model)`` returns the method table and the covariance of the
-    direction search, ``reference(model)`` the reference price.
+    direction search; the rows are measured against :func:`_reference_of`.
     """
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
@@ -456,7 +458,7 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, referenc
     if cfg.model != kind:
         raise ConfigInvalid(wrong_model)
     tasks = _row_tasks(cfg, *methods(model))
-    ref = reference(model)
+    ref = _reference_of(cfg, model)
     records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")
     out.write_text(_records_to_csv(records), encoding="utf-8")
@@ -468,18 +470,13 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, referenc
 def run_convergence(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Black-Scholes sweep and write the CSV."""
     wrong = "converge expects a bs model; use the vg verb instead"
-    return _sweep(cfg, "bs", wrong, lambda m: _bs_methods(cfg, m, trace), _bs_reference)
+    return _sweep(cfg, "bs", wrong, lambda m: _bs_methods(cfg, m, trace))
 
 
 def run_vg(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Variance-Gamma sweep and write the CSV."""
-    return _sweep(
-        cfg,
-        "vg",
-        "vg expects a vg model or an example",
-        lambda m: _vg_methods(cfg, m, trace),
-        lambda m: _vg_reference(m, cfg.tol_schedule),
-    )
+    wrong = "vg expects a vg model or an example"
+    return _sweep(cfg, "vg", wrong, lambda m: _vg_methods(cfg, m, trace))
 
 
 def report_decomposition(cfg: ExperimentConfig) -> str:
@@ -502,14 +499,9 @@ def report_decomposition(cfg: ExperimentConfig) -> str:
 def price_instance(cfg: ExperimentConfig) -> str:
     """Reference price and basic facts for the configured instance."""
     model = build_instance(cfg)
-    if isinstance(model, models.VarianceGammaBasket):
-        ref = _vg_reference(model, cfg.tol_schedule)
-        kind = "vg"
-    else:
-        ref = _bs_reference(model)
-        kind = "bs"
+    ref = _reference_of(cfg, model)
     lines = [
-        f"model {kind} d {model.d}",
+        f"model {cfg.model} d {model.d}",
         f"forward {model.forward()!r}",
         f"strike {model.K!r}",
         f"price {ref!r}",

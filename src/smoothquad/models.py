@@ -104,7 +104,6 @@ class BlackScholesBasket:
     c: np.ndarray
     K: float
     T: float = 1.0
-    r: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "S0", _frozen_vector(self.S0, "S0", positive=True))
@@ -120,8 +119,6 @@ class BlackScholesBasket:
             raise ValueError(f"strike {self.K} must be positive")
         if not self.T > 0.0:
             raise ValueError(f"maturity {self.T} must be positive")
-        if self.r != 0.0:
-            raise ValueError("nonzero rates are not supported in this model")
 
     @property
     def d(self) -> int:

@@ -507,14 +507,13 @@ def reference_tolerance(d: int) -> float:
     return 10.0 ** (-exponent)
 
 
-def reference_price(
-    model: BlackScholesBasket, max_evals: int = DEFAULT_MAX_EVALS
-) -> float:
-    """High-accuracy smoothed adaptive sparse-grid price."""
+def reference_price(model: BlackScholesBasket, max_evals: int = DEFAULT_MAX_EVALS):
+    """High-accuracy smoothed adaptive sparse-grid price; returns the estimate and the state.
+
+    Runs :func:`price_asg` on the smoothed integrand at
+    :func:`reference_tolerance`; a run past ``max_evals`` raises
+    BudgetExhausted carrying its partial state.
+    """
     prob = effective_bs(model)
-    dec = linalg.rank_one_reduce(prob.Sigma)
-    integrand = smoothed_integrand(prob, dec)
-    value, _ = price_asg(
-        integrand, reference_tolerance(model.d), max_evals=max_evals
-    )
-    return value
+    integrand = smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))
+    return price_asg(integrand, reference_tolerance(model.d), max_evals=max_evals)

@@ -42,9 +42,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
-    def apply(self, f) -> float:
-        return float(self.weights @ f(self.nodes))
-
 
 def _golub_welsch(diag, offdiag_ext) -> QuadratureRule:
     """Gauss rule from a three-term recurrence.

@@ -249,6 +249,37 @@ class TestConvergeVerb:
             else:
                 assert float(estimate) == pricing.price_cv(g, int(n), mode="qmc")
 
+    def test_budget_stop_is_a_row_status(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_bs_reference", lambda model: 2.0)
+        state = AdaptiveState(dim=1, value=2.5, eta=1e-3, evaluations=4321)
+
+        def exhausted(*args, **kwargs):
+            raise BudgetExhausted("4321 evaluations exceed budget 4000", state=state)
+
+        monkeypatch.setattr(pricing, "price_asg", exhausted)
+        conf = write_config(
+            tmp_path / "b.conf",
+            "model = bs\nd = 2\nseed = 9\nmethods = aSG+CS\ntol_schedule = 1e-2\n",
+        )
+        assert cli.main(["converge", "--config", conf, "--out", str(tmp_path / "b")]) == 0
+        csv_text = (tmp_path / "b.csv").read_text(encoding="utf-8")
+        assert strip_seconds(csv_text).splitlines()[1] == "aSG+CS,4321,2.5,0.25,BudgetExhausted"
+
+    def test_adaptive_error_row_counts_no_points(self, tmp_path, monkeypatch):
+        # raw aSG on this instance asks for a Gauss-Hermite rule above the order cap
+        monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
+        conf = write_config(
+            tmp_path / "e.conf",
+            "model = bs\nd = 8\nseed = 208\nmethods = aSG\nmethods = MC\n"
+            "budgets = 18\ntol_schedule = 1e-2\n",
+        )
+        assert cli.main(["converge", "--config", conf, "--out", str(tmp_path / "e")]) == 0
+        csv_text = (tmp_path / "e.csv").read_text(encoding="utf-8")
+        rows = [row.split(",") for row in strip_seconds(csv_text).splitlines()[1:]]
+        assert rows[0] == ["aSG", "0", "", "", "OrderOutOfRange"]
+        assert (rows[1][0], rows[1][1], rows[1][-1]) == ("MC", "18", "ok")
+        assert float(rows[1][2]) > 0.0
+
     def test_seed_override_changes_rows(self, tmp_path):
         base = self.run_sweep(tmp_path, "base")
         moved = self.run_sweep(tmp_path, "moved", ("--seed", "10"))
@@ -300,6 +331,23 @@ class TestVgVerb:
             tmp_path / "vg.conf", "model = vg\nd = 2\nseed = 5\nmethods = QMC\n"
         )
         assert cli.main(["vg", "--config", conf]) == 2
+
+    def test_methods_checked_before_direction_search(self, tmp_path, monkeypatch, capsys):
+        searches = []
+        search = linalg.best_binary_v
+
+        def counted(sigma):
+            searches.append(sigma)
+            return search(sigma)
+
+        monkeypatch.setattr(linalg, "best_binary_v", counted)
+        conf = write_config(
+            tmp_path / "vg.conf",
+            "model = vg\nd = 2\nseed = 5\nmethods = aSG+CS2\nmethods = QMC\n",
+        )
+        assert cli.main(["vg", "--config", conf]) == 2
+        assert "best v" not in capsys.readouterr().out
+        assert searches == []
 
     def test_sampling_rows_are_medians_of_streams(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
@@ -381,8 +429,8 @@ class TestReferenceBudget:
 
     @pytest.mark.parametrize("verb", ["converge", "vg"])
     def test_partial_reference_is_reported(self, tmp_path, capsys, monkeypatch, verb):
-        converged = self.VALUE if verb == "converge" else (self.VALUE, None)
         state = AdaptiveState(dim=2, value=self.VALUE, eta=3.5e-6, evaluations=4321)
+        converged = (self.VALUE, state)
 
         def exhausted(*args, **kwargs):
             raise BudgetExhausted("4321 evaluations exceed budget 4000", state=state)

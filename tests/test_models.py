@@ -90,7 +90,7 @@ class TestBlackScholesBasket:
         )
         assert m.d == 2
         assert m.forward() == 15.0
-        assert m.T == 1.0 and m.r == 0.0
+        assert m.T == 1.0
 
     def test_validation(self):
         ok = dict(

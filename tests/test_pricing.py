@@ -389,7 +389,7 @@ class TestMonteCarlo:
 
     def test_estimate_tracks_reference(self):
         model = models.random_instance(3, 77)
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         prob, dec = smoothing_parts(model)
         f = pricing.raw_integrand(prob, dec)
         mean, se = pricing.mc_mean_se(f, 500_000, RngSpec(14))
@@ -469,7 +469,7 @@ class TestQuasiMonteCarlo:
 
     def test_smoothed_accuracy(self):
         model = models.random_instance(3, 19)
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         prob, dec = smoothing_parts(model)
         g = pricing.smoothed_integrand(prob, dec)
         est = pricing.price_qmc(g, 3 * 6**5)
@@ -477,7 +477,7 @@ class TestQuasiMonteCarlo:
 
     def test_raw_accuracy(self):
         model = models.random_instance(3, 19)
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         prob, dec = smoothing_parts(model)
         f = pricing.raw_integrand(prob, dec)
         est = pricing.price_qmc(f, 3 * 6**5)
@@ -573,7 +573,7 @@ class TestControlVariate:
 
     def test_beats_plain_monte_carlo(self):
         model = models.random_instance(3, 53)
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         prob, dec = smoothing_parts(model)
         g = pricing.smoothed_integrand(prob, dec)
         n = 4096
@@ -583,7 +583,7 @@ class TestControlVariate:
 
     def test_qmc_mode_matches_reference(self):
         model = models.random_instance(3, 53)
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         prob, dec = smoothing_parts(model)
         g = pricing.smoothed_integrand(prob, dec)
         est = pricing.price_cv(g, 3 * 6**5, mode="qmc")
@@ -751,12 +751,12 @@ class TestReferencePrice:
             c=np.array([1.0]),
             K=18.0,
         )
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         np.testing.assert_allclose(ref, bs_price(20.0, 18.0, 0.3), rtol=1e-14)
 
     def test_reference_agrees_with_sampling(self):
         model = models.random_instance(5, 61)
-        ref = pricing.reference_price(model)
+        ref, _ = pricing.reference_price(model)
         prob, dec = smoothing_parts(model)
         f = pricing.raw_integrand(prob, dec)
         mean, se = pricing.mc_mean_se(f, 400_000, RngSpec(23))
