@@ -22,29 +22,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg, models, pricing
-from .errors import (
-    BudgetExhausted,
-    ConfigInvalid,
-    DimensionTooLarge,
-    OrderOutOfRange,
-    SmoothQuadError,
-)
+from .errors import BudgetExhausted, ConfigInvalid, DimensionTooLarge, SmoothQuadError
 from .sampling import RngSpec
-
-ACRONYMS = (
-    "MC",
-    "QMC",
-    "aSG",
-    "MC+CS",
-    "QMC+CS",
-    "aSG+CS",
-    "aSG+CS2",
-    "MC+CS+CV",
-    "QMC+CS+CV",
-)
-SAMPLING_METHODS = ("MC", "QMC", "MC+CS", "QMC+CS", "MC+CS+CV", "QMC+CS+CV")
-MC_RUNS = 20
-CSV_HEADER = "method,n_points,estimate,rel_error,seconds,status"
 
 PLOT_STYLE = {
     "MC": ("#1f77b4", 7),
@@ -57,6 +36,10 @@ PLOT_STYLE = {
     "MC+CS+CV": ("#7f7f7f", 8),
     "QMC+CS+CV": ("#bcbd22", 10),
 }
+ACRONYMS = tuple(PLOT_STYLE)
+SAMPLING_METHODS = ("MC", "QMC", "MC+CS", "QMC+CS", "MC+CS+CV", "QMC+CS+CV")
+MC_RUNS = 20
+CSV_HEADER = "method,n_points,estimate,rel_error,seconds,status"
 
 DEFAULT_BUDGETS = [3 * 6**q for q in range(1, 9)]
 DEFAULT_TOLS = [10.0**-k for k in range(2, 10)]
@@ -121,9 +104,12 @@ def _parse_int(value, key):
 
 def _parse_float(value, key):
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{key} must be a number, got {value!r}") from exc
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if math.isfinite(number):
+        return number
+    raise ConfigInvalid(f"{key} must be a finite number, got {value!r}")
 
 
 def _parse_seed(value) -> int:
@@ -220,18 +206,19 @@ def build_instance(cfg: ExperimentConfig):
 def _settle(run):
     """``(value, state, status)`` of an adaptive run; ``run()`` returns (value, state).
 
-    A run that exhausts its evaluation budget settles on its partial
-    state with the status ``BudgetExhausted``; any other error propagates.
+    The status is the state's (``ok`` or ``saturated``); a run that
+    exhausts its evaluation budget settles on its partial state with the
+    status ``BudgetExhausted``; any other error propagates.
     """
     try:
         value, state = run()
-        return value, state, "ok"
+        return value, state, state.status
     except BudgetExhausted as exc:
         return exc.state.value, exc.state, "BudgetExhausted"
 
 
 def _reference(run, tol) -> float:
-    """Value of a reference run at ``tol``; a budget stop is reported on stderr."""
+    """Value of a reference run at ``tol``; a status other than ``ok`` is reported on stderr."""
     value, state, status = _settle(run)
     if status != "ok":
         print(
@@ -249,16 +236,8 @@ def _bs_reference(model) -> float:
 
 
 def _vg_reference(model, tol_schedule) -> float:
-    tol_min = min(tol_schedule)
-    for factor in (100.0, 10.0, 1.0):
-        tol = tol_min / factor
-        try:
-            return _reference(lambda: pricing.price_vg_smoothed(model, tol), tol)
-        except OrderOutOfRange:
-            pass
-    raise SmoothQuadError(
-        f"no feasible reference tolerance at or below {tol_min}"
-    )
+    tol = min(tol_schedule) / 100.0
+    return _reference(lambda: pricing.price_vg_smoothed(model, tol), tol)
 
 
 def _reference_of(cfg, model) -> float:

@@ -334,6 +334,8 @@ def price_asg(
 
     Defaults to the nested Genz-Keister sequence in every dimension,
     which keeps the distinct-point count low on smooth integrands.
+    ``state.status`` is ``"ok"``, or ``"saturated"`` if the run stopped
+    at the rule-order cap; past ``max_evals`` it raises BudgetExhausted.
     """
     if seqs is None:
         seqs = genz_keister_sequence()
@@ -451,7 +453,7 @@ def price_vg_smoothed(model: VarianceGammaBasket, tol: float, v=None, trace=None
     differences after substituting y = nu u, which maps the Gamma
     density exactly onto the Laguerre weight with alpha = T/nu - 1;
     the Gaussian factors use the Genz-Keister sequence.  Returns the
-    estimate and the adaptive state.
+    estimate and the adaptive state, as :func:`price_asg` does.
     """
     g = vg_smoothed_integrand(model, v=v)
     nu = model.nu
@@ -511,7 +513,8 @@ def reference_price(model: BlackScholesBasket, max_evals: int = DEFAULT_MAX_EVAL
     """High-accuracy smoothed adaptive sparse-grid price; returns the estimate and the state.
 
     Runs :func:`price_asg` on the smoothed integrand at
-    :func:`reference_tolerance`; a run past ``max_evals`` raises
+    :func:`reference_tolerance`; a run stopped at the rule-order cap
+    has the status ``"saturated"``, and a run past ``max_evals`` raises
     BudgetExhausted carrying its partial state.
     """
     prob = effective_bs(model)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExhausted, NonFiniteIntegrand
-from .rules1d import RuleSequence, gauss_hermite_sequence
+from .rules1d import MAX_ORDER, RuleSequence, gauss_hermite_sequence
 
 DEFAULT_MAX_EVALS = 10**7
 # rows per block of the interpolant's power tables
@@ -241,7 +241,8 @@ class AdaptiveState:
     quantity ``max_evals`` caps); the integrand is called once per
     accepted index, on the grids of the indices it admits, and
     ``distinct_points`` counts the distinct nodes of the grids of old
-    and active indices.
+    and active indices.  ``status`` is how the run ended: ``"ok"``,
+    ``"saturated"`` at the rule-order cap or ``"BudgetExhausted"``.
     """
 
     dim: int
@@ -251,6 +252,7 @@ class AdaptiveState:
     eta: float = 0.0
     evaluations: int = 0
     distinct_points: int = 0
+    status: str = "ok"
 
     def verify(self):
         """Raise ValueError if any structural invariant is broken."""
@@ -340,7 +342,10 @@ def adaptive_quadrature(
     accumulating each newcomer's contribution.  Stops once the sum of
     active estimators drops to ``tol``.  The root is always expanded
     once, so an integrand vanishing at the center cannot cause a
-    spurious immediate return.
+    spurious immediate return.  If the index about to be accepted
+    would admit a child needing a rule of more than ``MAX_ORDER`` nodes,
+    the run stops "saturated" instead: that index stays active, its
+    estimator in ``eta``, and no grid of that round is evaluated.
 
     The index set stays downward closed, so when an index is added every
     tensor value below it is already kept.  The integrand is called once
@@ -373,12 +378,15 @@ def adaptive_quadrature(
     Returns
     -------
     (value, eta, state)
+        ``state.status`` is ``"ok"`` or ``"saturated"``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance {tol} must be positive")
     if max_evals < 1:
         raise ValueError(f"max_evals {max_evals} must be at least 1")
     seqs = _seq_list(seqs, d)
+    # the highest level of each coordinate whose rule fits the order cap
+    top = [next(lv for lv in itertools.count() if seq.size(lv + 1) > MAX_ORDER) for seq in seqs]
     state = AdaptiveState(dim=d)
     tensor = _TensorValues(f, seqs)
     heap = []
@@ -405,6 +413,7 @@ def adaptive_quadrature(
             heapq.heappush(heap, (-g, alpha))
         if state.evaluations > max_evals:
             state.eta = math.fsum(partials)
+            state.status = "BudgetExhausted"
             raise BudgetExhausted(
                 f"{state.evaluations} evaluations exceed budget {max_evals}",
                 state=state,
@@ -417,10 +426,18 @@ def adaptive_quadrature(
     while state.active and (forced or state.eta > tol):
         forced = False
         _, alpha = heapq.heappop(heap)
+        state.old_set.add(alpha)
+        children = admissible_children(alpha, state.old_set)
+        # only a coordinate where alpha is at its top level can take a child past it
+        if any(map(operator.ge, alpha, top)) and any(
+            any(map(operator.gt, child, top)) for child in children
+        ):
+            state.old_set.remove(alpha)
+            state.status = "saturated"
+            break
         g = state.active.pop(alpha)
         _add_exact(partials, -g)
-        state.old_set.add(alpha)
-        add_indices(admissible_children(alpha, state.old_set))
+        add_indices(children)
         state.eta = math.fsum(partials)
         if trace is not None:
             trace(state, alpha, g)

@@ -103,6 +103,9 @@ class TestConfigParsing:
             "model = vg\nd = 3\nseed = 1\ntheta = 0.1\n",
             "model = vg\nd = 2\nseed = 1\nnu = 0\n",
             "model = vg\nd = 2\nseed = 1\ntheta_range = 0.5\n",
+            "model = vg\nd = 3\nseed = 1\nnu = nan\n",
+            "model = vg\nd = 3\nseed = 1\nnu = inf\n",
+            "model = vg\nd = 3\nseed = 1\ntheta_range = nan\ntheta_range = nan\n",
             "example = ls16\n",
         ],
     )
@@ -211,6 +214,8 @@ class TestConvergeVerb:
             ("aSG+CS2", "DimensionTooLarge"),
         ]
         assert float(rows[0][2]) > 0.0
+        # an error row has no estimate and counts no points
+        assert rows[1][1:3] == ["0", ""]
 
     def test_control_variate_built_once_per_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
@@ -265,8 +270,8 @@ class TestConvergeVerb:
         csv_text = (tmp_path / "b.csv").read_text(encoding="utf-8")
         assert strip_seconds(csv_text).splitlines()[1] == "aSG+CS,4321,2.5,0.25,BudgetExhausted"
 
-    def test_adaptive_error_row_counts_no_points(self, tmp_path, monkeypatch):
-        # raw aSG on this instance asks for a Gauss-Hermite rule above the order cap
+    def test_adaptive_row_at_the_rule_cap_is_saturated(self, tmp_path, monkeypatch):
+        # raw aSG on this instance would admit a Gauss-Hermite rule above the order cap
         monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
         conf = write_config(
             tmp_path / "e.conf",
@@ -276,7 +281,12 @@ class TestConvergeVerb:
         assert cli.main(["converge", "--config", conf, "--out", str(tmp_path / "e")]) == 0
         csv_text = (tmp_path / "e.csv").read_text(encoding="utf-8")
         rows = [row.split(",") for row in strip_seconds(csv_text).splitlines()[1:]]
-        assert rows[0] == ["aSG", "0", "", "", "OrderOutOfRange"]
+        assert (rows[0][0], rows[0][1], rows[0][2], rows[0][-1]) == (
+            "aSG",
+            "1997",
+            "1.6325871223835193",
+            "saturated",
+        )
         assert (rows[1][0], rows[1][1], rows[1][-1]) == ("MC", "18", "ok")
         assert float(rows[1][2]) > 0.0
 
@@ -401,6 +411,18 @@ class TestVgVerb:
         rows = [row.split(",") for row in lines[1:]]
         assert [(r[0], r[-1]) for r in rows] == statuses
         assert float(rows[0][2]) > 0.0
+
+    def test_ls15_default_schedule_runs(self, tmp_path, capsys):
+        # the reference at min(default tol_schedule) / 100 stops at the order cap
+        conf = write_config(
+            tmp_path / "ls15.conf", "example = ls15\nmethods = MC\nbudgets = 18\n"
+        )
+        out = str(tmp_path / "ls15")
+        assert cli.main(["vg", "--config", conf, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("reference not converged: saturated at tol 1e-11, ")
+        lines = (tmp_path / "ls15.csv").read_text(encoding="utf-8").strip().splitlines()
+        assert [row.split(",")[-1] for row in lines[1:]] == ["ok"]
 
 
 class TestReferenceBudget:

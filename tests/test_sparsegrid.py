@@ -182,6 +182,7 @@ class TestAdaptiveQuadrature:
         np.testing.assert_allclose(value, math.exp(0.5), rtol=1e-9)
         assert eta <= 1e-10
         assert state.evaluations >= state.distinct_points
+        assert state.status == "ok"
 
     def test_cubic_polynomials_integrated_exactly(self):
         rng = np.random.default_rng(42)
@@ -265,7 +266,23 @@ class TestAdaptiveQuadrature:
         state = exc.value.state
         assert state is not None
         assert state.evaluations > 50
+        assert state.status == "BudgetExhausted"
         state.verify()
+
+    def test_rule_cap_stops_the_run_saturated(self):
+        # |x| needs ever finer rules; Genz-Keister level 7 is Gauss-Hermite order 287
+        f = counting(lambda z: np.abs(z[:, 0]))
+        seq = genz_keister_sequence()
+        value, eta, state = adaptive_quadrature(f, 1, 1e-12, seq)
+        assert state.status == "saturated"
+        state.verify()
+        # the index that would admit level 7 stays active, its estimator in eta
+        assert list(state.active) == [(6,)]
+        assert eta == state.active[(6,)] > 1e-12
+        assert state.old_set == {(lv,) for lv in range(6)}
+        assert state.evaluations == 419
+        assert max(f.calls) == seq.size(6)
+        assert eta >= abs(value - math.sqrt(2.0 / math.pi))
 
     @pytest.mark.parametrize(
         "seq, d, max_evals, left_out",
