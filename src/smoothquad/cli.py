@@ -38,7 +38,6 @@ PLOT_STYLE = {
 }
 ACRONYMS = tuple(PLOT_STYLE)
 SAMPLING_METHODS = ("MC", "QMC", "MC+CS", "QMC+CS", "MC+CS+CV", "QMC+CS+CV")
-MC_RUNS = 20
 CSV_HEADER = "method,n_points,estimate,rel_error,seconds,status"
 
 DEFAULT_BUDGETS = [3 * 6**q for q in range(1, 9)]
@@ -132,6 +131,8 @@ def _build_config(raw) -> ExperimentConfig:
             raise ConfigInvalid(
                 f"example must be ls15 or ls15_modified, got {cfg.example!r}"
             )
+        if cfg.model == "bs" and "model" in raw:
+            raise ConfigInvalid("an example is a vg instance; model = bs does not apply")
         cfg.model = "vg"
     if "d" in raw:
         cfg.d = _parse_int(raw["d"][0], "d")
@@ -172,6 +173,15 @@ def _build_config(raw) -> ExperimentConfig:
         cfg.theta = [_parse_float(v, "theta") for v in raw["theta"]]
     if "output" in raw:
         cfg.output = raw["output"][0]
+    if cfg.example is not None:
+        ignored, owner = ("d", "strike_mode", "nu", "theta", "theta_range"), "an example"
+    elif cfg.model == "bs":
+        ignored, owner = ("nu", "theta", "theta_range"), "a bs model"
+    else:
+        ignored, owner = ("theta_range",) if cfg.theta else (), "an explicit theta"
+    for key in ignored:
+        if key in raw:
+            raise ConfigInvalid(f"{key} does not apply to {owner}")
     if cfg.example is None:
         if cfg.d is None or cfg.seed is None:
             raise ConfigInvalid("d and seed are required without an example")
@@ -188,56 +198,40 @@ def build_instance(cfg: ExperimentConfig):
         return models.random_instance(cfg.d, cfg.seed, cfg.strike_mode)
     if cfg.theta:
         bs = models.random_instance(cfg.d, cfg.seed, cfg.strike_mode)
-        return models.VarianceGammaBasket(
-            S0=bs.S0,
-            sigma=bs.sigma,
-            rho=bs.rho,
-            c=bs.c,
-            K=bs.K,
-            theta=np.asarray(cfg.theta, dtype=float),
-            nu=cfg.nu,
-            T=bs.T,
-        )
+        return models.VarianceGammaBasket(**vars(bs), theta=np.asarray(cfg.theta), nu=cfg.nu)
     return models.random_vg_instance(
         cfg.d, cfg.seed, cfg.strike_mode, cfg.nu, tuple(cfg.theta_range)
     )
 
 
 def _settle(run):
-    """``(value, state, status)`` of an adaptive run; ``run()`` returns (value, state).
+    """State of ``run()``, which returns (value, state), or the partial state of a budget stop.
 
-    The status is the state's (``ok`` or ``saturated``); a run that
-    exhausts its evaluation budget settles on its partial state with the
-    status ``BudgetExhausted``; any other error propagates.
+    Any error other than BudgetExhausted propagates.
     """
     try:
-        value, state = run()
-        return value, state, state.status
+        return run()[1]
     except BudgetExhausted as exc:
-        return exc.state.value, exc.state, "BudgetExhausted"
+        return exc.state
 
 
-def _reference(run, tol) -> float:
-    """Value of a reference run at ``tol``; a status other than ``ok`` is reported on stderr."""
-    value, state, status = _settle(run)
-    if status != "ok":
-        print(
-            f"reference not converged: {status} at tol {tol:g}, "
-            f"eta {state.eta:.3e} after {state.evaluations} evaluations",
-            file=sys.stderr,
-        )
-    return value
+def _reference(run) -> float:
+    """Value of a reference run, after printing its state as one stdout record."""
+    state = _settle(run)
+    print(
+        f"reference {state.value!r} status {state.status} tol {state.tol:g} "
+        f"eta {state.eta:.3e} evaluations {state.evaluations} "
+        f"distinct_points {state.distinct_points}"
+    )
+    return state.value
 
 
 def _bs_reference(model) -> float:
-    return _reference(
-        lambda: pricing.reference_price(model), pricing.reference_tolerance(model.d)
-    )
+    return _reference(lambda: pricing.reference_price(model))
 
 
 def _vg_reference(model, tol_schedule) -> float:
-    tol = min(tol_schedule) / 100.0
-    return _reference(lambda: pricing.price_vg_smoothed(model, tol), tol)
+    return _reference(lambda: pricing.price_vg_smoothed(model, min(tol_schedule) / 100.0))
 
 
 def _reference_of(cfg, model) -> float:
@@ -321,7 +315,7 @@ def _vg_methods(cfg, model, trace):
         def price(n):
             runs = [
                 pricing.price_vg_mc(model, n, RngSpec(seed, stream_id=run), raw=raw)
-                for run in range(MC_RUNS)
+                for run in range(pricing.MC_RUNS)
             ]
             return float(np.median(runs))
 
@@ -384,8 +378,8 @@ def _task(method, price, x):
             if sampling:
                 value, status = price(x), "ok"
             else:
-                value, state, status = _settle(lambda: price(x))
-                n = state.evaluations
+                state = _settle(lambda: price(x))
+                value, n, status = state.value, state.evaluations, state.status
             rel = abs(value / ref - 1.0) if ref else None
         except SmoothQuadError as exc:
             value, rel, status = math.nan, None, type(exc).__name__
@@ -441,7 +435,6 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods) -> str:
     records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")
     out.write_text(_records_to_csv(records), encoding="utf-8")
-    print(f"reference {ref!r}")
     print(f"wrote {out}")
     return str(out)
 
@@ -539,9 +532,10 @@ def _parser() -> argparse.ArgumentParser:
     for verb in ("price", "converge", "vg", "decomp"):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
         p.add_argument("--seed", default=None)
-        p.add_argument("--trace", action="store_true")
+        if verb in ("converge", "vg"):
+            p.add_argument("--out", default=None)
+            p.add_argument("--trace", action="store_true")
     p = sub.add_parser("plot")
     p.add_argument("csv")
     p.add_argument("--out", default=None)
@@ -558,22 +552,17 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = _parse_seed(args.seed)
-        if args.out is not None:
-            cfg.output = args.out
-        trace = _trace_writer(args.trace)
         if args.verb == "price":
             print(price_instance(cfg))
-        elif args.verb == "converge":
-            run_convergence(cfg, trace=trace)
-        elif args.verb == "vg":
-            run_vg(cfg, trace=trace)
         elif args.verb == "decomp":
             print(report_decomposition(cfg))
+        else:
+            if args.out is not None:
+                cfg.output = args.out
+            sweep = run_convergence if args.verb == "converge" else run_vg
+            sweep(cfg, trace=_trace_writer(args.trace))
         return 0
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigInvalid, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SmoothQuadError, ValueError) as exc:

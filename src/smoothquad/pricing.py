@@ -34,6 +34,7 @@ _DRAW = 1 << 16
 _BLOCK = 1 << 13
 _D_CLAMP = 38.0
 _PRICE_FLOOR = 1e-300
+MC_RUNS = 20  # seeded runs a Monte Carlo price takes the median of
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def _vg_sampler(gen, shape, scale, n, buf):
     return sampler
 
 
-def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = 20):
+def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
     """Monte Carlo price: median over independent seeded runs.
 
     Each run averages n evaluations at standard-normal points from its

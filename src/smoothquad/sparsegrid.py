@@ -241,11 +241,13 @@ class AdaptiveState:
     quantity ``max_evals`` caps); the integrand is called once per
     accepted index, on the grids of the indices it admits, and
     ``distinct_points`` counts the distinct nodes of the grids of old
-    and active indices.  ``status`` is how the run ended: ``"ok"``,
-    ``"saturated"`` at the rule-order cap or ``"BudgetExhausted"``.
+    and active indices.  ``tol`` is the tolerance asked for (nan if
+    unset) and ``status`` how the run ended: ``"ok"``, ``"saturated"``
+    at the rule-order cap or ``"BudgetExhausted"``.
     """
 
     dim: int
+    tol: float = math.nan
     old_set: set = field(default_factory=set)
     active: dict = field(default_factory=dict)
     value: float = 0.0
@@ -387,7 +389,7 @@ def adaptive_quadrature(
     seqs = _seq_list(seqs, d)
     # the highest level of each coordinate whose rule fits the order cap
     top = [next(lv for lv in itertools.count() if seq.size(lv + 1) > MAX_ORDER) for seq in seqs]
-    state = AdaptiveState(dim=d)
+    state = AdaptiveState(dim=d, tol=tol)
     tensor = _TensorValues(f, seqs)
     heap = []
     partials = []  # eta as Shewchuk partials

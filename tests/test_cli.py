@@ -86,6 +86,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "text",
+        ["example = ls15\nmodel = vg\nseed = 4\n", "model = vg\nd = 2\nseed = 1\nnu = 0.5\n"],
+    )
+    def test_keys_the_instance_uses_parse(self, tmp_path, text):
+        cli.parse_config(write_config(tmp_path / "a.conf", text))
+
+    @pytest.mark.parametrize(
+        "text",
         [
             "model = bs\nd = 2\nseed = 1\nunknown_key = 3\n",
             "model = bs\nmodel = bs\nd = 2\nseed = 1\n",
@@ -107,6 +114,18 @@ class TestConfigParsing:
             "model = vg\nd = 3\nseed = 1\nnu = inf\n",
             "model = vg\nd = 3\nseed = 1\ntheta_range = nan\ntheta_range = nan\n",
             "example = ls16\n",
+            "example = ls15\nd = 7\n",
+            "example = ls15\nstrike_mode = otm\n",
+            "example = ls15\nnu = 0.9\n",
+            "example = ls15\ntheta = 0.1\n",
+            "example = ls15\ntheta_range = -0.1\ntheta_range = 0.1\n",
+            "example = ls15\nmodel = bs\n",
+            "model = bs\nexample = ls15_modified\n",
+            "model = bs\nd = 2\nseed = 1\nnu = 0.5\n",
+            "model = bs\nd = 2\nseed = 1\ntheta = 0.1\ntheta = 0.1\n",
+            "model = bs\nd = 2\nseed = 1\ntheta_range = -0.1\ntheta_range = 0.1\n",
+            "model = vg\nd = 2\nseed = 1\ntheta = 0.1\ntheta = 0.1\n"
+            "theta_range = -0.1\ntheta_range = 0.1\n",
         ],
     )
     def test_invalid_configs(self, tmp_path, text):
@@ -256,7 +275,9 @@ class TestConvergeVerb:
 
     def test_budget_stop_is_a_row_status(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_bs_reference", lambda model: 2.0)
-        state = AdaptiveState(dim=1, value=2.5, eta=1e-3, evaluations=4321)
+        state = AdaptiveState(
+            dim=1, value=2.5, eta=1e-3, evaluations=4321, status="BudgetExhausted"
+        )
 
         def exhausted(*args, **kwargs):
             raise BudgetExhausted("4321 evaluations exceed budget 4000", state=state)
@@ -419,15 +440,18 @@ class TestVgVerb:
         )
         out = str(tmp_path / "ls15")
         assert cli.main(["vg", "--config", conf, "--out", out]) == 0
-        err = capsys.readouterr().err
-        assert err.startswith("reference not converged: saturated at tol 1e-11, ")
+        records = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("reference ")
+        ]
+        assert len(records) == 1
+        assert " status saturated tol 1e-11 " in records[0]
         lines = (tmp_path / "ls15.csv").read_text(encoding="utf-8").strip().splitlines()
         assert [row.split(",")[-1] for row in lines[1:]] == ["ok"]
 
 
 class TestReferenceBudget:
     """A reference that runs out of budget keeps its partial value and
-    says so on stderr."""
+    says so in its stdout record."""
 
     VALUE = 0.123456789
     CONFIGS = {
@@ -451,25 +475,32 @@ class TestReferenceBudget:
 
     @pytest.mark.parametrize("verb", ["converge", "vg"])
     def test_partial_reference_is_reported(self, tmp_path, capsys, monkeypatch, verb):
-        state = AdaptiveState(dim=2, value=self.VALUE, eta=3.5e-6, evaluations=4321)
-        converged = (self.VALUE, state)
+        def state(tol, status):
+            return AdaptiveState(
+                dim=2, tol=tol, value=self.VALUE, eta=3.5e-6, evaluations=4321, status=status
+            )
 
-        def exhausted(*args, **kwargs):
-            raise BudgetExhausted("4321 evaluations exceed budget 4000", state=state)
+        def converged(model, tol=pricing.reference_tolerance(2), **kwargs):
+            return self.VALUE, state(tol, "ok")
 
-        code, csv_ok, out_ok, err_ok = self.run(
-            tmp_path, capsys, monkeypatch, verb, lambda *a, **k: converged
-        )
-        assert code == 0 and "not converged" not in err_ok
+        def exhausted(model, tol=pricing.reference_tolerance(2), **kwargs):
+            raise BudgetExhausted(
+                "4321 evaluations exceed budget 4000", state=state(tol, "BudgetExhausted")
+            )
+
+        code, csv_ok, out_ok, err_ok = self.run(tmp_path, capsys, monkeypatch, verb, converged)
+        assert code == 0 and err_ok == ""
         code, csv_text, out, err = self.run(tmp_path, capsys, monkeypatch, verb, exhausted)
         assert code == 0
         assert csv_text == csv_ok
-        assert out == out_ok
+        assert err == ""
         tol = pricing.reference_tolerance(2) if verb == "converge" else 1e-4
-        assert err == (
-            f"reference not converged: BudgetExhausted at tol {tol:g}, "
-            "eta 3.500e-06 after 4321 evaluations\n"
+        record = (
+            f"reference {self.VALUE!r} status {{}} tol {tol:g} eta 3.500e-06 "
+            "evaluations 4321 distinct_points 0\n"
         )
+        assert out == out_ok.replace(record.format("ok"), record.format("BudgetExhausted"))
+        assert record.format("BudgetExhausted") in out
 
 
 class TestDecompVerb:
@@ -495,12 +526,25 @@ class TestDecompVerb:
         assert f"best v: {v.astype(int).tolist()}\n" in out
 
 
+@pytest.mark.parametrize("verb", ["price", "decomp"])
+@pytest.mark.parametrize("flag", [["--out", "x"], ["--trace"]])
+def test_report_verbs_take_no_sweep_flags(tmp_path, capsys, verb, flag):
+    conf = write_config(tmp_path / "p.conf", "example = ls15\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([verb, "--config", conf, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestPriceVerb:
     def test_prints_reference(self, tmp_path, capsys):
         conf = write_config(tmp_path / "p.conf", "model = bs\nd = 2\nseed = 9\n")
         assert cli.main(["price", "--config", conf]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("model bs d 2")
+        assert out.startswith(
+            "reference 1.6541653226361737 status ok tol 1e-12 eta 8.948e-14 "
+            "evaluations 99 distinct_points 35\nmodel bs d 2\n"
+        )
         price = float(out.strip().splitlines()[-1].split()[-1])
         assert 0.0 < price < models.random_instance(2, 9).forward()
 

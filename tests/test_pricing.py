@@ -732,6 +732,29 @@ class TestVarianceGamma:
         with pytest.raises(ValueError):
             pricing.price_vg_mc(model, 0, RngSpec(1))
 
+    @staticmethod
+    def tensor_price(model, n, m):
+        """Outer Laguerre rule in y = nu u, inner m x m Gauss-Hermite rule on the CS2 integrand."""
+        v, _ = linalg.best_binary_v(models.vg_base_matrix(model))
+        outer = rules1d.gauss_laguerre_generalized(n, model.T / model.nu - 1.0)
+        inner = rules1d.gauss_hermite(m)
+        grid = np.stack(np.meshgrid(inner.nodes, inner.nodes, indexing="ij"), axis=-1)
+        weights = np.outer(inner.weights, inner.weights).ravel()
+        total = 0.0
+        for u, weight in zip(outer.nodes, outer.weights):
+            prob = models.effective_vg(model, model.nu * u)
+            g = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
+            total += weight * (weights @ g(grid.reshape(-1, 2)))
+        return math.exp(-model.r * model.T) * total
+
+    @pytest.mark.parametrize("modified, price", [(False, 25.2682228), (True, 25.45815413)])
+    def test_example_prices_by_tensor_rules(self, modified, price):
+        model = models.vg_example(modified=modified)
+        coarse = self.tensor_price(model, 40, 80)
+        fine = self.tensor_price(model, 60, 160)
+        assert abs(coarse / fine - 1.0) <= 1e-8
+        assert abs(fine / price - 1.0) <= 1e-8
+
 
 class TestReferencePrice:
     def test_tolerance_schedule(self):

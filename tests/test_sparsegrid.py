@@ -183,6 +183,7 @@ class TestAdaptiveQuadrature:
         assert eta <= 1e-10
         assert state.evaluations >= state.distinct_points
         assert state.status == "ok"
+        assert state.tol == 1e-10
 
     def test_cubic_polynomials_integrated_exactly(self):
         rng = np.random.default_rng(42)
