@@ -552,6 +552,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = _parse_seed(args.seed)
+        # an example is fixed, and neither report draws a random stream
+        report = args.verb in ("price", "decomp")
+        if report and cfg.example is not None and cfg.seed is not None:
+            raise ConfigInvalid(f"seed does not apply to {args.verb} on an example")
         if args.verb == "price":
             print(price_instance(cfg))
         elif args.verb == "decomp":

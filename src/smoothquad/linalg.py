@@ -4,10 +4,12 @@
 ``v`` and a positive semidefinite remainder, ``lambda1_sq`` scores one
 direction and ``best_binary_v`` searches all 2^d binary ones, enumerating
 each half of the coordinates once and joining the halves with one
-matrix product per block of bit patterns.  The Cholesky
-factor and the eigendecomposition are numpy's LAPACK calls; eigenvector
-signs are fixed by a rule because LAPACK leaves them arbitrary.
-Dimension is capped at 35.
+matrix product per block of bit patterns.  A lower bound per pattern of
+the high half skips every block whose values all lie above one already
+computed, so the search returns what the full enumeration would.  The
+Cholesky factor and the eigendecomposition are numpy's LAPACK calls;
+eigenvector signs are fixed by a rule because LAPACK leaves them
+arbitrary.  Dimension is capped at 35.
 """
 
 from dataclasses import dataclass
@@ -186,6 +188,18 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     strict comparison across blocks break ties towards the smallest
     integer whose bit ``i`` equals ``v_i``.
 
+    Only the blocks that can hold the minimum are evaluated.  Every
+    ``q(m)`` with high half ``h`` is at least
+    ``q_h[h] + min q_l + sum_i B_h[h, i] min_l M[i, l]``; from that bound
+    is taken a slack of ``1e-9 * (|q_h[h]| + max |q_l| +
+    sum_i B_h[h, i] max_l |M[i, l]|)``, far above the rounding of either
+    side.  The block with the least bound is evaluated first, and then,
+    in increasing ``h``, every block whose least bound is at most that
+    block's minimum.  A skipped block holds only values above one
+    already computed, so the winner, its tie-break and its ``q`` are
+    those of the full enumeration.  When nothing is skipped the cost is
+    one block more than the full enumeration.
+
     Raises
     ------
     DimensionTooLarge
@@ -208,18 +222,30 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     q_h = np.einsum("ij,ij->i", B_h @ P[n_l:, n_l:], B_h)
     M = 2.0 * P[n_l:, :n_l] @ B_l.T
     rows = max(1, _BLOCK_ENTRIES >> n_l)
-    best_q = np.inf
-    best_m = -1
-    for h0 in range(0, B_h.shape[0], rows):
+
+    def block_min(h0):
         quad = B_h[h0 : h0 + rows] @ M
         quad += q_h[h0 : h0 + rows, None]
         quad += q_l
         if h0 == 0:
             quad[0, 0] = np.inf  # m = 0 is not a direction
         k = int(np.argmin(quad))
+        return float(quad.flat[k]), (h0 << n_l) + k
+
+    # lower bound of every q(m) with high half h, less a slack far above
+    # the rounding of either side, so no skipped block can hold a value
+    # at or below one already computed
+    bound = q_h + q_l.min() + B_h @ M.min(axis=1)
+    bound -= 1e-9 * (np.abs(q_h) + np.abs(q_l).max() + B_h @ np.abs(M).max(axis=1))
+    starts = np.arange(0, B_h.shape[0], rows)
+    lows = np.minimum.reduceat(bound, starts)
+    cut, _ = block_min(int(starts[np.argmin(lows)]))
+    best_q = np.inf
+    best_m = -1
+    for h0 in starts[lows <= cut]:
+        q, m = block_min(int(h0))
         # strict comparison keeps the smallest integer on exact ties
-        if quad.flat[k] < best_q:
-            best_q = float(quad.flat[k])
-            best_m = (h0 << n_l) + k
+        if q < best_q:
+            best_q, best_m = q, m
     v = ((best_m >> np.arange(n)) & 1).astype(float)
     return v, 1.0 / best_q

@@ -536,6 +536,19 @@ def test_report_verbs_take_no_sweep_flags(tmp_path, capsys, verb, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["price", "decomp"])
+@pytest.mark.parametrize(
+    "text,flag", [("example = ls15\nseed = 5\n", []), ("example = ls15\n", ["--seed", "5"])]
+)
+def test_report_verbs_reject_an_example_seed(tmp_path, capsys, verb, text, flag):
+    # the example is fixed and neither report draws a random stream
+    conf = write_config(tmp_path / "p.conf", text)
+    assert cli.main([verb, "--config", conf, *flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"config error: seed does not apply to {verb} on an example" in err
+
+
 class TestPriceVerb:
     def test_prints_reference(self, tmp_path, capsys):
         conf = write_config(tmp_path / "p.conf", "model = bs\nd = 2\nseed = 9\n")

@@ -233,6 +233,50 @@ def _single_loop_best_binary_v(sigma):
     return v, 1.0 / best_q
 
 
+def _joined_best_binary_v(sigma):
+    """``best_binary_v``'s join of the two halves over every block, unpruned."""
+    n = sigma.shape[0]
+    Linv = linalg._inv_factor(sigma)
+    P = Linv.T @ Linv
+    n_l = (n + 1) // 2
+    B_l, B_h = linalg._bit_rows(n_l), linalg._bit_rows(n - n_l)
+    q_l = np.einsum("ij,ij->i", B_l @ P[:n_l, :n_l], B_l)
+    q_h = np.einsum("ij,ij->i", B_h @ P[n_l:, n_l:], B_h)
+    M = 2.0 * P[n_l:, :n_l] @ B_l.T
+    rows = max(1, linalg._BLOCK_ENTRIES >> n_l)
+    best_q = np.inf
+    best_m = -1
+    for h0 in range(0, B_h.shape[0], rows):
+        quad = B_h[h0 : h0 + rows] @ M
+        quad += q_h[h0 : h0 + rows, None]
+        quad += q_l
+        if h0 == 0:
+            quad[0, 0] = np.inf
+        k = int(np.argmin(quad))
+        if quad.flat[k] < best_q:
+            best_q = float(quad.flat[k])
+            best_m = (h0 << n_l) + k
+    v = ((best_m >> np.arange(n)) & 1).astype(float)
+    return v, 1.0 / best_q
+
+
+def _equicorrelated(d, rho):
+    sigma = np.full((d, d), rho)
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
+
+
+# inputs on which the search's lower bound prunes least or ties most: with
+# rho = 0.5 every single bit and the all-ones vector tie exactly, with
+# rho = -0.9/(d-1) every single bit does, and the diagonal repeats its
+# largest variance
+_TIED_SIGMAS = {
+    "equicorrelated+0.5": lambda d: _equicorrelated(d, 0.5),
+    "equicorrelated-0.9/(d-1)": lambda d: _equicorrelated(d, -0.9 / (d - 1)),
+    "repeated-diagonal": lambda d: np.diag(np.resize([1.0, 2.0, 2.0, 0.5], d)),
+}
+
+
 class TestBestBinaryV:
     def test_identity_tie_break(self):
         v, lam = linalg.best_binary_v(np.eye(4))
@@ -273,14 +317,34 @@ class TestBestBinaryV:
         np.testing.assert_array_equal(v, [1.0])
         assert lam == pytest.approx(0.04, rel=1e-14)
 
-    @pytest.mark.parametrize("d", [16, 20])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_single_loop_enumeration(self, d, seed):
-        sigma = models.effective_bs(models.random_instance(d, seed)).Sigma
-        v, lam = linalg.best_binary_v(sigma)
+    @pytest.mark.parametrize("d", [12, 16, 20])
+    @pytest.mark.parametrize("seed", [1, 2, 3, *_TIED_SIGMAS])
+    def test_matches_single_loop_enumeration(self, monkeypatch, d, seed):
+        if seed in _TIED_SIGMAS:
+            sigma = _TIED_SIGMAS[seed](d)
+        else:
+            sigma = models.effective_bs(models.random_instance(d, seed)).Sigma
         v_ref, lam_ref = _single_loop_best_binary_v(sigma)
-        np.testing.assert_array_equal(v, v_ref)
-        assert lam == pytest.approx(lam_ref, rel=1e-13)
+        # the tiny block size makes the bound choose among many blocks
+        for entries in (linalg._BLOCK_ENTRIES, 8) if d <= 12 else (linalg._BLOCK_ENTRIES,):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_BLOCK_ENTRIES", entries)
+                v, lam = linalg.best_binary_v(sigma)
+                v_join, lam_join = _joined_best_binary_v(sigma)
+            # skipping blocks changes nothing, ties included
+            np.testing.assert_array_equal(v, v_join)
+            assert lam == lam_join
+            if seed != "equicorrelated+0.5":
+                # there the all-ones sum ties with the single bits, and each
+                # order of summation rounds it its own way
+                np.testing.assert_array_equal(v, v_ref)
+            assert lam == pytest.approx(lam_ref, rel=1e-13)
+
+    def test_benchmark_instance(self):
+        sigma = models.effective_bs(models.random_instance(25, 2)).Sigma
+        v, lam = linalg.best_binary_v(sigma)
+        np.testing.assert_array_equal(np.flatnonzero(v), [20, 21, 22, 23, 24])
+        assert lam == 0.04191258545910668
 
     def test_lower_bound_smallest_eigenvalue(self):
         # the best binary direction is never worse than the smallest
