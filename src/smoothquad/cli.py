@@ -312,14 +312,7 @@ def _vg_methods(cfg, model, trace):
     seed = cfg.seed if cfg.seed is not None else 0
 
     def mc(raw):
-        def price(n):
-            runs = [
-                pricing.price_vg_mc(model, n, RngSpec(seed, stream_id=run), raw=raw)
-                for run in range(pricing.MC_RUNS)
-            ]
-            return float(np.median(runs))
-
-        return price
+        return lambda n: pricing.price_vg_mc_median(model, n, RngSpec(seed), raw=raw)
 
     asg = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
 

@@ -184,21 +184,26 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     enumerate each half once, ``q_l`` and ``q_h`` are their own
     quadratic forms and ``M = 2 P_hl B_l^T``.  Blocks of consecutive
     ``h`` cost one matrix product each.  Row-major order over
-    ``(h, l)`` is increasing ``m``, so the flat argmin of a block and a
-    strict comparison across blocks break ties towards the smallest
-    integer whose bit ``i`` equals ``v_i``.
+    ``(h, l)`` is increasing ``m``; the flat argmin of a block, and the
+    smaller ``m`` across blocks, break ties of the computed ``q``
+    towards the smallest integer whose bit ``i`` equals ``v_i``.
+    Patterns whose ``q`` tie in exact arithmetic can round apart, and
+    then the least rounded value wins: on the equicorrelated
+    ``rho = 0.5`` covariance at ``d = 12`` every single bit ties with
+    the all-ones vector, and the search returns ``e_2``.
 
     Only the blocks that can hold the minimum are evaluated.  Every
     ``q(m)`` with high half ``h`` is at least
     ``q_h[h] + min q_l + sum_i B_h[h, i] min_l M[i, l]``; from that bound
     is taken a slack of ``1e-9 * (|q_h[h]| + max |q_l| +
     sum_i B_h[h, i] max_l |M[i, l]|)``, far above the rounding of either
-    side.  The block with the least bound is evaluated first, and then,
-    in increasing ``h``, every block whose least bound is at most that
-    block's minimum.  A skipped block holds only values above one
-    already computed, so the winner, its tie-break and its ``q`` are
-    those of the full enumeration.  When nothing is skipped the cost is
-    one block more than the full enumeration.
+    side.  Blocks are evaluated in increasing order of their least
+    bound, and the search stops at the first block whose least bound
+    lies above the best ``q`` found so far.  A skipped block holds only
+    values above one already computed, so the winner, its tie-break and
+    its ``q`` are those of the full enumeration, and the blocks
+    evaluated are exactly those whose least bound is at most the
+    winner's ``q``.
 
     Raises
     ------
@@ -239,13 +244,14 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     bound -= 1e-9 * (np.abs(q_h) + np.abs(q_l).max() + B_h @ np.abs(M).max(axis=1))
     starts = np.arange(0, B_h.shape[0], rows)
     lows = np.minimum.reduceat(bound, starts)
-    cut, _ = block_min(int(starts[np.argmin(lows)]))
     best_q = np.inf
     best_m = -1
-    for h0 in starts[lows <= cut]:
-        q, m = block_min(int(h0))
-        # strict comparison keeps the smallest integer on exact ties
-        if q < best_q:
+    for i in np.argsort(lows, kind="stable"):
+        if lows[i] > best_q:
+            break  # this block and every later one lie above best_q
+        q, m = block_min(int(starts[i]))
+        # on equal q the smaller integer wins, whichever block came first
+        if q < best_q or (q == best_q and m < best_m):
             best_q, best_m = q, m
     v = ((best_m >> np.arange(n)) & 1).astype(float)
     return v, 1.0 / best_q

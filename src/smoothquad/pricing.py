@@ -12,6 +12,8 @@ conditional-call kernel; Black-Scholes is the case y = 1, theta = 0.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -283,24 +285,65 @@ def _vg_sampler(gen, shape, scale, n, buf):
     return sampler
 
 
-def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
-    """Monte Carlo price: median over independent seeded runs.
+def _usable_cores():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
-    Each run averages n evaluations at standard-normal points from its
-    own stream (stream id equal to the run index), and the median of
-    the run estimates is reported together with all of them.
+
+def _median_of_runs(mean_of, n, dim, rng, runs):
+    """Median of independent seeded runs, and every run's estimate.
+
+    Run ``r`` draws from its own stream, ``RngSpec(rng.base_seed, r)``,
+    and ``mean_of(gen, buf)`` averages its ``n`` points through the
+    block buffer ``buf``.  The runs are spread over the usable cores:
+    the calling thread and one helper thread per further core each take
+    every ``workers``-th run, through one buffer for all of its runs.
+    Philox draws and numpy's block-sized kernels release the interpreter
+    lock, so the runs overlap.  Each estimate lands at its own run index, so
+    the result is the same for any number of workers.  An exception
+    from any run is raised here, after every helper has finished.
     """
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
     if runs < 1:
         raise ValueError(f"run count {runs} must be at least 1")
     estimates = np.empty(runs)
-    buf = _block_buffer(n, integrand.dim)
-    for run in range(runs):
-        gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
-        sampler = _normal_sampler(gen, buf)
-        estimates[run] = _mean_se_of(integrand, sampler, n)[0]
+    workers = min(_usable_cores(), runs)
+
+    def work(first):
+        buf = _block_buffer(n, dim)
+        for run in range(first, runs, workers):
+            gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
+            estimates[run] = mean_of(gen, buf)
+
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(work, first) for first in range(1, workers)]
+            work(0)
+            for helper in helpers:
+                helper.result()
     return float(np.median(estimates)), estimates
+
+
+def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
+    """Monte Carlo price: median over independent seeded runs.
+
+    Each run averages n evaluations at standard-normal points from its
+    own stream (stream id equal to the run index), and the median of
+    the run estimates is reported together with all of them.  The runs
+    are spread over the usable cores; every value is the same for any
+    core count.
+    """
+
+    def mean_of(gen, buf):
+        return _mean_se_of(integrand, _normal_sampler(gen, buf), n)[0]
+
+    return _median_of_runs(mean_of, n, integrand.dim, rng, runs)
 
 
 def mc_mean_se(integrand: Integrand, n: int, rng: RngSpec):
@@ -493,6 +536,21 @@ def price_vg_mc(
     sampler = _vg_sampler(rng.generator(), model.T / model.nu, model.nu, n, buf)
     mean, se = _mean_se_of(integrand, sampler, n)
     return (mean, se) if return_se else mean
+
+
+def price_vg_mc_median(model: VarianceGammaBasket, n: int, rng: RngSpec, raw: bool = False):
+    """Variance-Gamma Monte Carlo price: median over ``MC_RUNS`` seeded runs.
+
+    Run ``r`` is :func:`price_vg_mc` on stream ``r`` of ``rng``'s seed,
+    and the runs are spread over the usable cores as in :func:`price_mc`.
+    """
+    integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
+
+    def mean_of(gen, buf):
+        sampler = _vg_sampler(gen, model.T / model.nu, model.nu, n, buf)
+        return _mean_se_of(integrand, sampler, n)[0]
+
+    return _median_of_runs(mean_of, n, integrand.dim, rng, MC_RUNS)[0]
 
 
 def reference_tolerance(d: int) -> float:

@@ -404,6 +404,21 @@ class TestVgVerb:
             ]
             assert float(estimate) == float(np.median(runs))
 
+    def test_sampling_rows_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
+        conf = write_config(
+            tmp_path / "vg.conf",
+            "model = vg\nd = 3\nseed = 5\nmethods = MC\nmethods = MC+CS\nbudgets = 8200\n",
+        )
+        rows = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+            out = tmp_path / f"vg{workers}"
+            assert cli.main(["vg", "--config", conf, "--out", str(out)]) == 0
+            rows.append(strip_seconds(out.with_suffix(".csv").read_text(encoding="utf-8")))
+        assert rows[0].count("\n") == 2
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+
     def test_undefined_skew_is_numerical_failure(self, tmp_path):
         conf = write_config(
             tmp_path / "vg.conf",

@@ -346,6 +346,25 @@ class TestBestBinaryV:
         np.testing.assert_array_equal(np.flatnonzero(v), [20, 21, 22, 23, 24])
         assert lam == 0.04191258545910668
 
+    def test_benchmark_instance_evaluates_only_blocks_below_the_winner(self, monkeypatch):
+        # each evaluated block takes one argmin; on this instance 9 of the
+        # 512 blocks have a least bound at or below the winner's q
+        blocks = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argmin(self, a, *args, **kwargs):
+                blocks.append(a.shape)
+                return np.argmin(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "np", CountingNumpy())
+        sigma = models.effective_bs(models.random_instance(25, 2)).Sigma
+        _, lam = linalg.best_binary_v(sigma)
+        assert lam == 0.04191258545910668
+        assert blocks == [(8, 8192)] * 9
+
     def test_lower_bound_smallest_eigenvalue(self):
         # the best binary direction is never worse than the smallest
         # eigenvalue of sigma

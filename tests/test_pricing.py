@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -405,6 +407,64 @@ class TestMonteCarlo:
             pricing.mc_mean_se(f, 0, RngSpec(1))
 
 
+class TestParallelRuns:
+    """The runs of a Monte Carlo price share the usable cores; no value depends on how many."""
+
+    N = 2**16 + 7
+
+    @pytest.fixture(scope="class")
+    def integrands(self):
+        prob, dec = smoothing_parts(models.random_instance(25, 2))
+        return pricing.raw_integrand(prob, dec), pricing.smoothed_integrand(prob, dec)
+
+    def test_runs_do_not_depend_on_the_worker_count(self, monkeypatch, integrands):
+        results = {}
+        switch = sys.getswitchinterval()
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+            # more workers than cores, and the threads switched often
+            sys.setswitchinterval(1e-5)
+            try:
+                results[workers] = [pricing.price_mc(f, self.N, RngSpec(6)) for f in integrands]
+            finally:
+                sys.setswitchinterval(switch)
+        for i, f in enumerate(integrands):
+            median, runs = results[1][i]
+            assert runs.shape == (pricing.MC_RUNS,)
+            assert runs[19] == pricing.mc_mean_se(f, self.N, RngSpec(6, stream_id=19))[0]
+            for workers in (2, 5):
+                assert results[workers][i][0] == median
+                np.testing.assert_array_equal(results[workers][i][1], runs)
+
+    @pytest.mark.parametrize("cores, runs", [(1, 20), (5, 1)])
+    def test_one_worker_starts_no_thread(self, monkeypatch, cores, runs):
+        def no_pool(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(pricing, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pricing, "ThreadPoolExecutor", no_pool)
+        f = pricing.Integrand(dim=2, func=lambda p: p[:, 0], label="z")
+        _, estimates = pricing.price_mc(f, 100, RngSpec(4), runs=runs)
+        assert estimates.shape == (runs,)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_a_failing_run_raises_after_every_helper_finished(self, monkeypatch, workers):
+        monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+        first_row = RngSpec(4, stream_id=3).generator().standard_normal((1, 2))[0]
+
+        def func(points):
+            if np.array_equal(points[0], first_row):
+                raise OutOfDomain("stream 3")
+            return points[:, 0]
+
+        threads = threading.active_count()
+        with pytest.raises(OutOfDomain, match="stream 3"):
+            pricing.price_mc(pricing.Integrand(dim=2, func=func, label="f"), 1000, RngSpec(4))
+        assert threading.active_count() == threads
+        pricing.price_mc(pricing.Integrand(dim=2, func=lambda p: p[:, 0], label="z"), 10, RngSpec(4))
+        assert threading.active_count() == threads
+
+
 class TestStreamedSampling:
     """Streaming one block at a time leaves every estimate bit for bit unchanged."""
 
@@ -458,6 +518,11 @@ class TestStreamedSampling:
             peaks = traced_peaks(call, (2**16, 2**18))
             assert peaks[1] <= peaks[0] + PEAK_SLACK, (name, peaks)
             assert peaks[1] < 4 * block, (name, peaks)
+        # every run of a price: one block buffer and its temporaries per worker
+        workers = min(pricing._usable_cores(), pricing.MC_RUNS)
+        peaks = traced_peaks(lambda n: pricing.price_mc(g, n, RngSpec(3)), (2**16, 2**18))
+        assert peaks[1] <= peaks[0] + workers * PEAK_SLACK, (workers, peaks)
+        assert peaks[1] < 4 * block * workers, (workers, peaks)
 
 
 class TestQuasiMonteCarlo:
