@@ -106,10 +106,13 @@ def bs_call(s0, k, sigma):
     s0a = np.asarray(s0, dtype=float)
     if np.any(s0a <= 0.0) or not np.all(np.isfinite(s0a)):
         raise OutOfDomain(f"spot must be positive and finite, got {s0}")
+    ka = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(ka)):
+        raise OutOfDomain(f"strike must be finite, got {k}")
     siga = np.asarray(sigma, dtype=float)
     if np.any(siga < 0.0) or not np.all(np.isfinite(siga)):
         raise ValueError(f"volatility must be nonnegative, got {sigma}")
-    out = _bs_call_core(s0a, k, siga)
+    out = _bs_call_core(s0a, ka, siga)
     return float(out) if scalar else out
 
 
@@ -222,13 +225,8 @@ def _mean_se_of(f, sampler, n):
     return mean, math.sqrt(var / n)
 
 
-def _block_buffer(n, dim):
-    """Working buffer for the blocks of an ``n``-point estimate."""
-    return np.empty((min(n, _BLOCK), dim))
-
-
-def _normal_sampler(gen, buf):
-    """Sampler of standard normals, each block landing in the leading rows of ``buf``.
+def _normal_sampler(gen, n, dim):
+    """Sampler of ``dim``-column standard normals, each block landing in one buffer.
 
     Each block is drawn and assigned, so the draw is freed before the
     integrand runs: only one block-sized temporary is alive at a time,
@@ -237,6 +235,7 @@ def _normal_sampler(gen, buf):
     ``out=`` would save the copy, but perfbench's tracer wraps
     ``standard_normal`` with a ``size`` argument only.)
     """
+    buf = np.empty((min(n, _BLOCK), dim))
 
     def sampler(m):
         out = buf[:m]
@@ -257,10 +256,10 @@ def _sobol_normal_sampler(dim, n):
     return sampler
 
 
-def _vg_sampler(gen, shape, scale, n, buf):
-    """Sampler of (y, z) rows for Variance-Gamma, each block in the leading rows of ``buf``.
+def _vg_sampler(gen, model, n, dim):
+    """Sampler of ``dim``-column (y, z) rows for Variance-Gamma, each block in one buffer.
 
-    Column 0 takes the Gamma(``shape``, ``scale``) time changes of each
+    Column 0 takes the Gamma(T/nu, nu) time changes of each
     ``_DRAW``-row batch of the ``n`` rows, drawn at the batch's first
     block and before any of its normals; the other columns take each
     block's own normal draw.  Normals do not depend on how a stream is
@@ -268,6 +267,7 @@ def _vg_sampler(gen, shape, scale, n, buf):
     per batch.  ``_DRAW`` is a multiple of ``_BLOCK``, so no block
     straddles two batches.
     """
+    buf = np.empty((min(n, _BLOCK), dim))
     y = None
     served = 0
 
@@ -275,10 +275,10 @@ def _vg_sampler(gen, shape, scale, n, buf):
         nonlocal y, served
         at = served % _DRAW
         if at == 0:
-            y = gen.gamma(shape, scale, min(_DRAW, n - served))
+            y = gen.gamma(model.T / model.nu, model.nu, min(_DRAW, n - served))
         out = buf[:m]
         out[:, 0] = y[at : at + m]
-        out[:, 1:] = gen.standard_normal((m, buf.shape[1] - 1))
+        out[:, 1:] = gen.standard_normal((m, dim - 1))
         served += m
         return out
 
@@ -293,31 +293,29 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _median_of_runs(mean_of, n, dim, rng, runs):
-    """Median of independent seeded runs, and every run's estimate.
+def _sample_runs(integrand, n, sampler_of, runs=1):
+    """``(mean, se)`` of ``integrand`` over ``n`` sampled points, for each run.
 
-    Run ``r`` draws from its own stream, ``RngSpec(rng.base_seed, r)``,
-    and ``mean_of(gen, buf)`` averages its ``n`` points through the
-    block buffer ``buf``.  The runs are spread over the usable cores:
-    the calling thread and one helper thread per further core each take
-    every ``workers``-th run, through one buffer for all of its runs.
-    Philox draws and numpy's block-sized kernels release the interpreter
-    lock, so the runs overlap.  Each estimate lands at its own run index, so
-    the result is the same for any number of workers.  An exception
-    from any run is raised here, after every helper has finished.
+    ``sampler_of(run)`` builds run ``run``'s sampler, which
+    :func:`_mean_se_of` asks for one block at a time.  The runs are
+    spread over the usable cores: the calling thread and one helper
+    thread per further core each take every ``workers``-th run, so a
+    single run stays on the calling thread.  Philox draws and numpy's
+    block-sized kernels release the interpreter lock, so the runs
+    overlap.  Each result lands at its own run index, so the results
+    are the same for any number of workers.  An exception from any run
+    is raised here, after every helper has finished.
     """
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
     if runs < 1:
         raise ValueError(f"run count {runs} must be at least 1")
-    estimates = np.empty(runs)
+    results = [None] * runs
     workers = min(_usable_cores(), runs)
 
     def work(first):
-        buf = _block_buffer(n, dim)
         for run in range(first, runs, workers):
-            gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
-            estimates[run] = mean_of(gen, buf)
+            results[run] = _mean_se_of(integrand, sampler_of(run), n)
 
     if workers == 1:
         work(0)
@@ -327,7 +325,7 @@ def _median_of_runs(mean_of, n, dim, rng, runs):
             work(0)
             for helper in helpers:
                 helper.result()
-    return float(np.median(estimates)), estimates
+    return results
 
 
 def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
@@ -340,18 +338,19 @@ def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
     core count.
     """
 
-    def mean_of(gen, buf):
-        return _mean_se_of(integrand, _normal_sampler(gen, buf), n)[0]
+    def sampler_of(run):
+        gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
+        return _normal_sampler(gen, n, integrand.dim)
 
-    return _median_of_runs(mean_of, n, integrand.dim, rng, runs)
+    estimates = np.array([mean for mean, _ in _sample_runs(integrand, n, sampler_of, runs)])
+    return float(np.median(estimates)), estimates
 
 
 def mc_mean_se(integrand: Integrand, n: int, rng: RngSpec):
     """Single-stream Monte Carlo mean with its standard error."""
-    if n < 1:
-        raise ValueError(f"sample count {n} must be at least 1")
-    sampler = _normal_sampler(rng.generator(), _block_buffer(n, integrand.dim))
-    return _mean_se_of(integrand, sampler, n)
+    return _sample_runs(
+        integrand, n, lambda run: _normal_sampler(rng.generator(), n, integrand.dim)
+    )[0]
 
 
 def price_qmc(integrand: Integrand, n: int) -> float:
@@ -359,12 +358,11 @@ def price_qmc(integrand: Integrand, n: int) -> float:
 
     The points stream through one block of the Sobol stream's own
     arrays, mapped to normals in place, so memory does not grow with n.
+    A zero-dimensional integrand is its value at the one point.
     """
-    if n < 1:
-        raise ValueError(f"sample count {n} must be at least 1")
-    if integrand.dim == 0:
+    if integrand.dim == 0 and n >= 1:  # the driver rejects n < 1
         return float(np.asarray(integrand(np.zeros((1, 0))))[0])
-    return _mean_se_of(integrand, _sobol_normal_sampler(integrand.dim, n), n)[0]
+    return _sample_runs(integrand, n, lambda run: _sobol_normal_sampler(integrand.dim, n))[0][0]
 
 
 def price_asg(
@@ -417,14 +415,12 @@ def price_cv(
     ``rng``) or the Sobol points (``mode="qmc"``).  Integrands inside
     the interpolation space are priced with zero sampling error.
     """
-    if n < 1:
-        raise ValueError(f"sample count {n} must be at least 1")
     if mode not in ("mc", "qmc"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     if mode == "mc" and rng is None:
         raise ValueError("mc mode needs an rng specification")
     if integrand.dim == 0:
-        return float(np.asarray(integrand(np.zeros((1, 0))))[0])
+        return price_qmc(integrand, n)
     residual, mean = control_variate(integrand)
     if mode == "qmc":
         return mean + price_qmc(residual, n)
@@ -525,16 +521,14 @@ def price_vg_mc(
     Draws the time change from its Gamma law and the Gaussian factors
     from the standard normal, then averages the smoothed integrand
     (or the raw payoff when ``raw`` is set, using the full factor
-    vector).  The rows stream through one block buffer, as in
+    vector).  The rows stream one block at a time, as in
     :func:`price_mc`; the Gammas of each ``_DRAW`` rows come from the
     stream before their normals.
     """
-    if n < 1:
-        raise ValueError(f"sample count {n} must be at least 1")
     integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
-    buf = _block_buffer(n, integrand.dim)
-    sampler = _vg_sampler(rng.generator(), model.T / model.nu, model.nu, n, buf)
-    mean, se = _mean_se_of(integrand, sampler, n)
+    mean, se = _sample_runs(
+        integrand, n, lambda run: _vg_sampler(rng.generator(), model, n, integrand.dim)
+    )[0]
     return (mean, se) if return_se else mean
 
 
@@ -546,11 +540,12 @@ def price_vg_mc_median(model: VarianceGammaBasket, n: int, rng: RngSpec, raw: bo
     """
     integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
 
-    def mean_of(gen, buf):
-        sampler = _vg_sampler(gen, model.T / model.nu, model.nu, n, buf)
-        return _mean_se_of(integrand, sampler, n)[0]
+    def sampler_of(run):
+        gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
+        return _vg_sampler(gen, model, n, integrand.dim)
 
-    return _median_of_runs(mean_of, n, integrand.dim, rng, MC_RUNS)[0]
+    runs = _sample_runs(integrand, n, sampler_of, MC_RUNS)
+    return float(np.median([mean for mean, _ in runs]))
 
 
 def reference_tolerance(d: int) -> float:

@@ -196,6 +196,13 @@ class TestBsCall:
         with pytest.raises(OutOfDomain):
             pricing.bs_call(np.nan, 1.0, 0.2)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_strike(self, k):
+        with pytest.raises(OutOfDomain, match="strike"):
+            pricing.bs_call(100.0, k, 0.2)
+        with pytest.raises(OutOfDomain, match="strike"):
+            pricing.bs_call(np.array([100.0, 90.0]), np.array([100.0, k]), 0.2)
+
     def test_rejects_negative_volatility(self):
         with pytest.raises(ValueError):
             pricing.bs_call(1.0, 1.0, -0.1)
@@ -446,6 +453,17 @@ class TestParallelRuns:
         f = pricing.Integrand(dim=2, func=lambda p: p[:, 0], label="z")
         _, estimates = pricing.price_mc(f, 100, RngSpec(4), runs=runs)
         assert estimates.shape == (runs,)
+        # the single-run estimators share the driver, and keep to the calling thread
+        vg = models.vg_example(True)
+        values = [
+            pricing.mc_mean_se(f, 100, RngSpec(4))[0],
+            pricing.price_qmc(f, 100),
+            pricing.price_cv(f, 100, mode="qmc"),
+            pricing.price_cv(f, 100, mode="mc", rng=RngSpec(4)),
+            pricing.price_vg_mc(vg, 100, RngSpec(4)),
+            pricing.price_vg_mc(vg, 100, RngSpec(4), raw=True),
+        ]
+        assert all(math.isfinite(v) for v in values)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_a_failing_run_raises_after_every_helper_finished(self, monkeypatch, workers):
@@ -756,6 +774,15 @@ class TestVarianceGamma:
         vals = pricing.vg_smoothed_integrand(model)(np.vstack(batches))
         price = pricing.price_vg_mc(model, 2**16 + 5, RngSpec(4))
         np.testing.assert_allclose(price, vals.mean(), rtol=1e-15)
+
+    def test_median_is_the_median_of_single_runs(self, monkeypatch):
+        # 2^16 + 5 rows: each run crosses a Gamma batch and ends on a short block
+        model = models.vg_example(True)
+        n = 2**16 + 5
+        runs = [pricing.price_vg_mc(model, n, RngSpec(5, stream_id=r)) for r in range(20)]
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+            assert pricing.price_vg_mc_median(model, n, RngSpec(5)) == float(np.median(runs))
 
     def test_mc_peak_does_not_grow_with_n(self):
         # one block of rows at a time, beside one batch of Gammas
