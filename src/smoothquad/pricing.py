@@ -11,8 +11,13 @@ smoothed builder maps its points to an exponent and shares one
 conditional-call kernel; Black-Scholes is the case y = 1, theta = 0.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -204,25 +209,13 @@ def smoothed_integrand_v(
 
 
 def _mean_se_of(f, sampler, n):
-    """Mean of ``f`` over ``n`` sampled points, and its standard error.
+    """Mean of ``f`` over ``n`` points drawn in order from ``sampler``, and its standard error.
 
-    The sampler is asked for ``_BLOCK`` rows at a time (the last block
-    holds the rest), and ``f`` and its two sums run over each block as
-    it comes, so the working set is one block of points, 1.6 MB at
-    d = 25, whatever ``n`` is.  Philox normals and Sobol points do not
-    depend on how a stream is split, so the draws are the same for any
-    block size.
+    One run of :func:`_sample_runs`, on the calling thread: the sampler
+    is asked for ``_BLOCK`` rows at a time, the last block holding the
+    rest.
     """
-    sums = []
-    squares = []
-    for lo in range(0, n, _BLOCK):
-        vals = np.asarray(f(sampler(min(_BLOCK, n - lo))), dtype=float)
-        sums.append(float(np.sum(vals)))
-        squares.append(float(np.sum(vals * vals)))
-    mean = math.fsum(sums) / n
-    second = math.fsum(squares) / n
-    var = max(second - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+    return _sample_runs(f, n, lambda run: sampler)[0]
 
 
 def _normal_sampler(gen, n, dim):
@@ -246,13 +239,23 @@ def _normal_sampler(gen, n, dim):
 
 
 def _sobol_normal_sampler(dim, n):
-    """Sampler of Sobol points mapped to normals in place, in the stream's block."""
+    """Sampler of Sobol points mapped to normals in place, in the stream's block.
+
+    Row ``lo`` of the run is the Sobol point of index ``1 + lo``, and
+    ``sampler.seek(lo)`` moves the stream there, so any block can be
+    drawn on its own: :func:`_sample_runs` spreads the blocks over its
+    workers, each with one stream.
+    """
     stream = SobolStream(dim, block=min(n, _BLOCK))
 
     def sampler(m):
         u = stream.points(m)
         return inv_norm_cdf(u, out=u)
 
+    def seek(lo):
+        stream.next_index = 1 + lo
+
+    sampler.seek = seek
     return sampler
 
 
@@ -285,6 +288,62 @@ def _vg_sampler(gen, model, n, dim):
     return sampler
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS numpy ships, or None.
+
+    Looked up on first use, so importing the package does not load it.
+    Only the ``scipy-openblas`` library of a numpy wheel is known; any
+    other BLAS (MKL, Accelerate, a system OpenBLAS) gives None.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get, set_threads
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_holds = 0
+_blas_before = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's BLAS at one thread inside the block, where it can be controlled.
+
+    Workers that each multiply their own block would otherwise queue on
+    the BLAS's threads instead of running side by side.  Holds are
+    counted under a lock: the first sets one thread and the last puts
+    back the count the first read, so nested and concurrent holds do
+    not release one another.  Where the BLAS cannot be controlled the
+    block runs as it is.
+    """
+    global _blas_holds, _blas_before
+    with _blas_lock:
+        blas = _openblas_threads()
+        if blas is not None:
+            if _blas_holds == 0:
+                _blas_before = blas[0]()
+                blas[1](1)
+            _blas_holds += 1
+    try:
+        yield
+    finally:
+        if blas is not None:
+            with _blas_lock:
+                _blas_holds -= 1
+                if _blas_holds == 0:
+                    blas[1](_blas_before)
+
+
 def _usable_cores():
     """Cores this process may run on."""
     try:
@@ -296,35 +355,65 @@ def _usable_cores():
 def _sample_runs(integrand, n, sampler_of, runs=1):
     """``(mean, se)`` of ``integrand`` over ``n`` sampled points, for each run.
 
-    ``sampler_of(run)`` builds run ``run``'s sampler, which
-    :func:`_mean_se_of` asks for one block at a time.  The runs are
-    spread over the usable cores: the calling thread and one helper
-    thread per further core each take every ``workers``-th run, so a
-    single run stays on the calling thread.  Philox draws and numpy's
-    block-sized kernels release the interpreter lock, so the runs
-    overlap.  Each result lands at its own run index, so the results
-    are the same for any number of workers.  An exception from any run
-    is raised here, after every helper has finished.
+    ``sampler_of(run)`` builds a sampler of run ``run``'s points, which
+    is asked for one ``_BLOCK``-row block at a time (the last block
+    holds the rest), so a worker's working set is one block of points,
+    1.6 MB at d = 25, whatever ``n`` is.  A sampler with a ``seek(lo)``
+    method (Sobol) can start at any row, so each of its blocks is a
+    unit of work; any other sampler (Philox, whose ziggurat normals use
+    a varying number of words) is drawn in order, one unit per run.
+    The units are spread over the usable cores: the calling thread and
+    one helper thread per further core each take every ``workers``-th
+    unit, building a sampler whenever their run changes, so a single
+    unit stays on the calling thread.  While the helpers run, numpy's
+    BLAS is held at one thread (:func:`_one_blas_thread`); Philox draws
+    and numpy's block-sized kernels release the interpreter lock, so
+    the units overlap.  Each block's two sums land at the block's own
+    index and a run's are added with ``math.fsum``, which rounds once,
+    so the results are the same for any number of workers.  An
+    exception from any unit is raised here, after every helper has
+    finished.
     """
     if n < 1:
         raise ValueError(f"sample count {n} must be at least 1")
     if runs < 1:
         raise ValueError(f"run count {runs} must be at least 1")
-    results = [None] * runs
-    workers = min(_usable_cores(), runs)
+    starts = range(0, n, _BLOCK)
+    sums = [[None] * len(starts) for _ in range(runs)]
+    # run 0's sampler says how to split, and the calling thread draws
+    # with it; popped from the list, it is freed when that thread moves on
+    first = [sampler_of(0)]
+    split = hasattr(first[0], "seek")
+    if split:
+        units = [(run, (lo,)) for run in range(runs) for lo in starts]
+    else:
+        units = [(run, starts) for run in range(runs)]
+    workers = min(_usable_cores(), len(units))
 
-    def work(first):
-        for run in range(first, runs, workers):
-            results[run] = _mean_se_of(integrand, sampler_of(run), n)
+    def work(at, sampler=None, of=None):
+        for run, unit in units[at::workers]:
+            if run != of:
+                sampler = None  # the last run's buffers go before the next run's come
+                sampler, of = sampler_of(run), run
+            if split:
+                sampler.seek(unit[0])
+            for lo in unit:
+                vals = np.asarray(integrand(sampler(min(_BLOCK, n - lo))), dtype=float)
+                sums[run][lo // _BLOCK] = float(np.sum(vals)), float(np.sum(vals * vals))
 
     if workers == 1:
-        work(0)
+        work(0, first.pop(), 0)
     else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(work, first) for first in range(1, workers)]
-            work(0)
+        with _one_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(work, at) for at in range(1, workers)]
+            work(0, first.pop(), 0)
             for helper in helpers:
                 helper.result()
+    results = []
+    for blocks in sums:
+        mean = math.fsum(s for s, _ in blocks) / n
+        var = max(math.fsum(q for _, q in blocks) / n - mean * mean, 0.0)
+        results.append((mean, math.sqrt(var / n)))
     return results
 
 
@@ -358,7 +447,9 @@ def price_qmc(integrand: Integrand, n: int) -> float:
 
     The points stream through one block of the Sobol stream's own
     arrays, mapped to normals in place, so memory does not grow with n.
-    A zero-dimensional integrand is its value at the one point.
+    The blocks are spread over the usable cores, each worker with its
+    own stream, and the price is the same for any core count.  A
+    zero-dimensional integrand is its value at the one point.
     """
     if integrand.dim == 0 and n >= 1:  # the driver rejects n < 1
         return float(np.asarray(integrand(np.zeros((1, 0))))[0])
@@ -412,8 +503,10 @@ def price_cv(
 
     Samples only the residual of :func:`control_variate` with unit
     coefficient, over one Monte Carlo stream (``mode="mc"``, seeded by
-    ``rng``) or the Sobol points (``mode="qmc"``).  Integrands inside
-    the interpolation space are priced with zero sampling error.
+    ``rng``, drawn in order on the calling thread) or the Sobol points
+    (``mode="qmc"``, whose blocks are spread over the usable cores as
+    in :func:`price_qmc`).  Integrands inside the interpolation space
+    are priced with zero sampling error.
     """
     if mode not in ("mc", "qmc"):
         raise ValueError(f"unknown sampling mode {mode!r}")

@@ -1,7 +1,11 @@
+import ast
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +447,30 @@ class TestParallelRuns:
                 assert results[workers][i][0] == median
                 np.testing.assert_array_equal(results[workers][i][1], runs)
 
+    @pytest.mark.parametrize("n", [2**16 + 7, 3 * pricing._BLOCK, 100])
+    def test_qmc_blocks_do_not_depend_on_the_worker_count(self, monkeypatch, integrands, n):
+        # a QMC run is split into its blocks, which any worker may draw
+        raw, smoothed = integrands
+        calls = [
+            lambda: pricing.price_qmc(raw, n),
+            lambda: pricing.price_qmc(smoothed, n),
+            lambda: pricing.price_cv(smoothed, n, mode="qmc"),
+        ]
+        residual, mean = pricing.control_variate(smoothed)
+        expected = [
+            batched_mean_se(raw, sobol_normal_draw(raw.dim), n)[0],
+            batched_mean_se(smoothed, sobol_normal_draw(smoothed.dim), n)[0],
+            mean + batched_mean_se(residual, sobol_normal_draw(residual.dim), n)[0],
+        ]
+        switch = sys.getswitchinterval()
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+            sys.setswitchinterval(1e-5)
+            try:
+                assert [call() for call in calls] == expected, workers
+            finally:
+                sys.setswitchinterval(switch)
+
     @pytest.mark.parametrize("cores, runs", [(1, 20), (5, 1)])
     def test_one_worker_starts_no_thread(self, monkeypatch, cores, runs):
         def no_pool(*args):
@@ -462,6 +490,9 @@ class TestParallelRuns:
             pricing.price_cv(f, 100, mode="mc", rng=RngSpec(4)),
             pricing.price_vg_mc(vg, 100, RngSpec(4)),
             pricing.price_vg_mc(vg, 100, RngSpec(4), raw=True),
+            # a QMC run of one block is one unit of work, even on many cores
+            pricing.price_qmc(f, pricing._BLOCK),
+            pricing.price_cv(f, pricing._BLOCK, mode="qmc"),
         ]
         assert all(math.isfinite(v) for v in values)
 
@@ -481,6 +512,135 @@ class TestParallelRuns:
         assert threading.active_count() == threads
         pricing.price_mc(pricing.Integrand(dim=2, func=lambda p: p[:, 0], label="z"), 10, RngSpec(4))
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_a_failing_qmc_block_raises_after_every_helper_finished(self, monkeypatch, workers):
+        monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+        # block 3 of 6 starts at the Sobol point of index 1 + 3 * _BLOCK
+        first_row = inv_norm_cdf(SobolStream(2, start=1 + 3 * pricing._BLOCK).points(1))[0]
+        blocks = []
+
+        def func(points):
+            blocks.append(points.shape[0])
+            if np.array_equal(points[0], first_row):
+                raise OutOfDomain("block 3")
+            return points[:, 0]
+
+        threads = threading.active_count()
+        with pytest.raises(OutOfDomain, match="block 3"):
+            pricing.price_qmc(pricing.Integrand(dim=2, func=func, label="f"), 6 * pricing._BLOCK)
+        assert threading.active_count() == threads
+        # worker w takes blocks w, w + workers, ...: only the failing
+        # worker's blocks after block 3 are left out
+        assert len(blocks) == {1: 4, 2: 5, 5: 6}[workers]
+
+
+_BLAS = pricing._openblas_threads()
+needs_blas = pytest.mark.skipif(
+    _BLAS is None,
+    reason="numpy's BLAS is not its bundled OpenBLAS; its thread count cannot be held",
+)
+
+# per-run estimates, medians, QMC and CV prices at forced worker counts 1, 2 and 5
+_PRICES_BY_WORKERS = """
+from smoothquad import linalg, models, pricing
+from smoothquad.sampling import RngSpec
+
+prob = models.effective_bs(models.random_instance(25, 2))
+dec = linalg.rank_one_reduce(prob.Sigma)
+raw, smoothed = pricing.raw_integrand(prob, dec), pricing.smoothed_integrand(prob, dec)
+n = pricing._BLOCK + 7
+by_workers = []
+for workers in (1, 2, 5):
+    pricing._usable_cores = lambda: workers
+    prices = []
+    for f in (raw, smoothed):
+        median, runs = pricing.price_mc(f, n, RngSpec(6))
+        prices += [median, *runs.tolist(), pricing.price_qmc(f, 3 * n)]
+    by_workers.append(prices + [pricing.price_cv(smoothed, 3 * n, mode="qmc")])
+print(repr(by_workers))
+"""
+
+
+@needs_blas
+class TestBlasHold:
+    """Inside the parallel region numpy's BLAS runs one thread; outside it, what it ran before."""
+
+    def test_count_is_restored(self, monkeypatch):
+        get, set_threads = _BLAS
+        monkeypatch.setattr(pricing, "_usable_cores", lambda: 2)
+        seen = []
+
+        def func(points):
+            seen.append(get())
+            return points[:, 0]
+
+        def fails(points):
+            raise OutOfDomain("every block")
+
+        f = pricing.Integrand(dim=2, func=func, label="f")
+        bad = pricing.Integrand(dim=2, func=fails, label="bad")
+        before = get()
+        set_threads(3)
+        try:
+            pricing.price_mc(f, 100, RngSpec(4))
+            assert get() == 3
+            pricing.price_qmc(f, 3 * pricing._BLOCK)
+            assert get() == 3
+            assert set(seen) == {1}
+            for call in (
+                lambda: pricing.price_mc(bad, 100, RngSpec(4)),
+                lambda: pricing.price_qmc(bad, 3 * pricing._BLOCK),
+            ):
+                with pytest.raises(OutOfDomain):
+                    call()
+                assert get() == 3
+            # a single unit of work runs on the calling thread, with no hold
+            seen.clear()
+            pricing.mc_mean_se(f, 3 * pricing._BLOCK, RngSpec(4))
+            assert seen == [3] * 3
+        finally:
+            set_threads(before)
+
+    def test_holds_are_counted(self):
+        get, set_threads = _BLAS
+        before = get()
+        set_threads(2)
+        try:
+            first, second = pricing._one_blas_thread(), pricing._one_blas_thread()
+            first.__enter__()
+            second.__enter__()
+            assert get() == 1
+            # the first hold ending does not release the second
+            first.__exit__(None, None, None)
+            assert get() == 1
+            second.__exit__(None, None, None)
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+    def test_prices_do_not_depend_on_the_blas_threads(self):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if not k.endswith("_NUM_THREADS") and k != "VECLIB_MAXIMUM_THREADS"
+        }
+        env["PYTHONPATH"] = str(Path(pricing.__file__).parents[1])
+        outputs = []
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            run = subprocess.run(
+                [sys.executable, "-c", _PRICES_BY_WORKERS],
+                env={**env, **blas},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            )
+            outputs.append(ast.literal_eval(run.stdout))
+        default, one = outputs
+        assert len(default) == 3 and len(default[0]) == 2 * (pricing.MC_RUNS + 2) + 1
+        assert default == [default[0]] * 3
+        assert one == default
 
 
 class TestStreamedSampling:
@@ -520,7 +680,7 @@ class TestStreamedSampling:
         assert pricing.price_cv(g, self.N, mode="qmc") == qmc
         assert pricing.price_cv(g, self.N, mode="mc", rng=RngSpec(10)) == mc
 
-    def test_traced_peak_does_not_grow_with_n(self):
+    def test_traced_peak_does_not_grow_with_n(self, monkeypatch):
         # d = 25 smoothed integrand, dimension 24: one block of its points
         # (and of the 25-column exponent built from them) is 1.6 MB, one
         # 2^16-row draw 12.6 MB
@@ -532,13 +692,34 @@ class TestStreamedSampling:
             "qmc": lambda n: pricing.price_qmc(g, n),
             "mc": lambda n: pricing.price_mc(g, n, RngSpec(3), runs=1),
         }
-        for name, call in calls.items():
-            peaks = traced_peaks(call, (2**16, 2**18))
-            assert peaks[1] <= peaks[0] + PEAK_SLACK, (name, peaks)
-            assert peaks[1] < 4 * block, (name, peaks)
+        workers = pricing._usable_cores()
+        with monkeypatch.context() as one_worker:
+            one_worker.setattr(pricing, "_usable_cores", lambda: 1)
+            for name, call in calls.items():
+                peaks = traced_peaks(call, (2**16, 2**18))
+                assert peaks[1] <= peaks[0] + PEAK_SLACK, (name, peaks)
+                assert peaks[1] < 4 * block, (name, peaks)
         # every run of a price: one block buffer and its temporaries per worker
-        workers = min(pricing._usable_cores(), pricing.MC_RUNS)
+        runs = min(workers, pricing.MC_RUNS)
         peaks = traced_peaks(lambda n: pricing.price_mc(g, n, RngSpec(3)), (2**16, 2**18))
+        assert peaks[1] <= peaks[0] + runs * PEAK_SLACK, (runs, peaks)
+        assert peaks[1] < 4 * block * runs, (runs, peaks)
+        # every block of a QMC price: one stream's buffers and a block's
+        # temporaries per worker.  How the workers' temporaries overlap
+        # decides the peak, and it varies from call to call by up to
+        # 0.6 MB at d = 25, so the workers evaluate their full blocks in
+        # lockstep, the same number each, to overlap alike at every n
+        # (the warm-up call's one short block runs alone)
+        lockstep = threading.Barrier(workers)
+
+        def in_lockstep(points):
+            if len(points) == pricing._BLOCK:
+                lockstep.wait(timeout=60)
+            return g(points)
+
+        f = pricing.Integrand(dim=g.dim, func=in_lockstep, label="lockstep")
+        n = 16 * pricing._BLOCK * workers
+        peaks = traced_peaks(lambda n: pricing.price_qmc(f, n), (n, 2 * n))
         assert peaks[1] <= peaks[0] + workers * PEAK_SLACK, (workers, peaks)
         assert peaks[1] < 4 * block * workers, (workers, peaks)
 
