@@ -357,8 +357,9 @@ def _sample_runs(integrand, n, sampler_of, runs=1):
 
     ``sampler_of(run)`` builds a sampler of run ``run``'s points, which
     is asked for one ``_BLOCK``-row block at a time (the last block
-    holds the rest), so a worker's working set is one block of points,
-    1.6 MB at d = 25, whatever ``n`` is.  A sampler with a ``seek(lo)``
+    holds the rest), so a worker's working set is two blocks, whatever
+    ``n`` is: the points, and the integrand's exponent built from them
+    (1.6 MB each at d = 25).  A sampler with a ``seek(lo)``
     method (Sobol) can start at any row, so each of its blocks is a
     unit of work; any other sampler (Philox, whose ziggurat normals use
     a varying number of words) is drawn in order, one unit per run.

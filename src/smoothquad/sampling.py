@@ -60,11 +60,13 @@ class SobolStream:
     the lowest set bit of s + k; an in-place cumulative XOR down the
     rows turns these into the points, with no loop over bits.
 
-    With ``block`` set, the stream allocates its uint64 and float64
-    working arrays once, ``block`` rows each, and every chunk of at most
-    that many points is built in them: :meth:`points` then returns a
-    view that the next call overwrites, and a caller streaming blocks
-    allocates nothing per call.  Without it every chunk is a new array.
+    Each chunk's points are written as floats over the uint64 array
+    they were built in, so a chunk takes one array.  With ``block`` set,
+    the stream allocates that array once, ``block`` rows, and every
+    chunk of at most that many points is built in it: :meth:`points`
+    then returns a view that the next call overwrites, and a caller
+    streaming blocks allocates nothing per call.  Without it every
+    chunk is a new array.
     """
 
     def __init__(self, dim: int, start: int = 1, block=None):
@@ -82,7 +84,6 @@ class SobolStream:
         self._block = block
         if block is not None:
             self._ints = np.empty((block, dim), dtype=np.uint64)
-            self._out = np.empty((block, dim))
 
     def points(self, n: int) -> np.ndarray:
         """Next ``n`` points as an (n, dim) array in [0, 1)^dim."""
@@ -92,9 +93,9 @@ class SobolStream:
         if start + n > 1 << _BITS:
             raise ValueError("sobol index space of 2^32 points exhausted")
         if self._block is None:
-            ints, out = np.empty((n, self.dim), dtype=np.uint64), None
+            ints = np.empty((n, self.dim), dtype=np.uint64)
         elif n <= self._block:
-            ints, out = self._ints[:n], self._out[:n]
+            ints = self._ints[:n]
         else:
             raise ValueError(f"{n} points do not fit the stream's {self._block}-row block")
         if n:
@@ -108,7 +109,8 @@ class SobolStream:
             np.take(self._v, ctz, axis=0, out=ints[1:], mode="clip")
             np.bitwise_xor.accumulate(ints, axis=0, out=ints)
         self.next_index += n
-        return np.multiply(ints, _SCALE, out=out)
+        # every row of ints is rebuilt on each call, so the floats can take its place
+        return np.multiply(ints, _SCALE, out=ints.view(np.float64))
 
 
 def inv_norm_cdf(p, out=None):

@@ -43,8 +43,10 @@ from .errors import BudgetExhausted, NonFiniteIntegrand
 from .rules1d import MAX_ORDER, RuleSequence, gauss_hermite_sequence
 
 DEFAULT_MAX_EVALS = 10**7
-# rows per block of the interpolant's power tables
-_ROW_CHUNK = 2048
+# rows per block of the interpolant's power table and product buffer:
+# at d = 24 the two take 1.6 MB, less than a sampling block's points and
+# exponent, so they do not set a control-variate worker's peak
+_ROW_CHUNK = 1024
 
 
 def _seq_list(seqs, d):
@@ -474,7 +476,8 @@ def interpolant_total_degree(f, d, q=2):
     x_j^4 and a (3d, 3d) matrix over the stacked powers x_j^0, x_j^1,
     x_j^2 (power-major, so entry p d + j is x_j^p).  ``g`` is then two
     matrix products per block of ``_ROW_CHUNK`` rows, built in a power
-    table and a product buffer that each call allocates once.  The mean
+    table and a product buffer that each call allocates once, together
+    the size of one 8,192-row block of points from a sampler.  The mean
     of g under the standard normal is the sum of c_alpha Q_alpha over
     the same values, which equals the matching total-degree quadrature
     of f.

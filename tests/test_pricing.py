@@ -723,6 +723,38 @@ class TestStreamedSampling:
         assert peaks[1] <= peaks[0] + workers * PEAK_SLACK, (workers, peaks)
         assert peaks[1] < 4 * block * workers, (workers, peaks)
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("estimator", ["mc raw", "mc cs", "qmc raw", "qmc cs", "cv cs"])
+    def test_traced_peak_is_two_blocks_per_worker(self, monkeypatch, estimator, workers):
+        # a worker holds one block of points and the 25-column exponent
+        # (or log-returns) built from them; the Sobol stream's float
+        # points overwrite its integers and the interpolant's power
+        # table is no larger than a block, so neither adds a third
+        prob, dec = smoothing_parts(models.random_instance(25, 2))
+        kind, label = estimator.split()
+        build = pricing.raw_integrand if label == "raw" else pricing.smoothed_integrand
+        g = build(prob, dec)
+        block = pricing._BLOCK * 25 * 8
+        # the workers evaluate their full blocks in lockstep, the same
+        # number each, so their temporaries overlap alike on every call
+        lockstep = threading.Barrier(workers)
+
+        def in_lockstep(points):
+            if len(points) == pricing._BLOCK:
+                lockstep.wait(timeout=60)
+            return g(points)
+
+        f = pricing.Integrand(dim=g.dim, func=in_lockstep, label="lockstep")
+        # n points per worker: one MC run each, or n / _BLOCK Sobol blocks each
+        calls = {
+            "mc": lambda n: pricing.price_mc(f, n, RngSpec(3), runs=workers),
+            "qmc": lambda n: pricing.price_qmc(f, workers * n),
+            "cv": lambda n: pricing.price_cv(f, workers * n, mode="qmc"),
+        }
+        monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
+        (peak,) = traced_peaks(calls[kind], (2 * pricing._BLOCK,))
+        assert peak < 2.5 * block * workers, (estimator, workers, peak / block)
+
 
 class TestQuasiMonteCarlo:
     def test_deterministic(self):

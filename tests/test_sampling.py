@@ -1,4 +1,6 @@
 """Sobol sequences, the inverse normal map, and seeded random streams."""
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -157,11 +159,12 @@ class TestInvNormCdf:
         assert np.max(np.abs(back - xs)) <= 1e-10
 
     def test_domain_guard(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan, math.inf, -math.inf):
             with pytest.raises(OutOfDomain):
                 sampling.inv_norm_cdf(bad)
-        with pytest.raises(OutOfDomain):
-            sampling.inv_norm_cdf(np.array([0.4, 1.0]))
+        for bad in ([0.4, 1.0], [0.4, math.nan, 0.6]):
+            with pytest.raises(OutOfDomain):
+                sampling.inv_norm_cdf(np.array(bad))
 
     def test_writes_in_place(self):
         ps = np.linspace(0.01, 0.99, 99)
