@@ -47,10 +47,6 @@ class SmoothingDecomposition:
     lambda_sq: np.ndarray
     v: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.v.shape[0]
-
 
 def _as_sym_matrix(a, max_dim=None) -> np.ndarray:
     a = np.asarray(a, dtype=float)

@@ -71,11 +71,7 @@ def doust_correlation(x) -> np.ndarray:
     tau = np.zeros((d, d))
     for k in range(d):
         scale = 1.0 if k == 0 else math.sqrt(1.0 - x[k - 1] ** 2)
-        tau[k, k] = scale
-        run = scale
-        for i in range(k + 1, d):
-            run *= x[i - 1]
-            tau[i, k] = run
+        tau[k:, k] = np.cumprod(np.concatenate(([scale], x[k:])))
     rho = tau @ tau.T
     rho = 0.5 * (rho + rho.T)
     rho.setflags(write=False)
@@ -129,53 +125,34 @@ class BlackScholesBasket:
         return float(self.c @ self.S0)
 
 
-@dataclass(frozen=True)
-class VarianceGammaBasket:
-    """Basket call under the multivariate Variance-Gamma model."""
+@dataclass(frozen=True, kw_only=True)
+class VarianceGammaBasket(BlackScholesBasket):
+    """Basket call under the multivariate Variance-Gamma model.
 
-    S0: np.ndarray
-    sigma: np.ndarray
-    rho: np.ndarray
-    c: np.ndarray
-    K: float
+    The Black-Scholes basket, with its checks, run on a Gamma time change
+    of variance rate ``nu``; ``theta`` holds the per-asset skews and
+    ``r`` the rate.
+    """
+
     theta: np.ndarray
     nu: float
-    T: float = 1.0
     r: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "S0", _frozen_vector(self.S0, "S0", positive=True))
-        d = self.S0.size
-        object.__setattr__(
-            self, "sigma", _frozen_vector(self.sigma, "sigma", positive=True)
-        )
-        object.__setattr__(self, "c", _frozen_vector(self.c, "c", positive=True))
+        super().__post_init__()
         object.__setattr__(self, "theta", _frozen_vector(self.theta, "theta"))
-        if self.sigma.size != d or self.c.size != d or self.theta.size != d:
-            raise ValueError("S0, sigma, c and theta must share one length")
-        object.__setattr__(self, "rho", _frozen_correlation(self.rho, d))
-        if not self.K > 0.0:
-            raise ValueError(f"strike {self.K} must be positive")
-        if not self.T > 0.0:
-            raise ValueError(f"maturity {self.T} must be positive")
+        if self.theta.size != self.d:
+            raise ValueError("theta must have one skew per asset")
         if not self.nu > 0.0:
             raise ValueError(f"nu = {self.nu} must be positive")
         # omega existence doubles as the model validity check
-        for th, sg in zip(self.theta, self.sigma):
-            omega(float(th), float(sg), self.nu)
-
-    @property
-    def d(self) -> int:
-        return self.S0.size
+        self.omegas()
 
     def omegas(self) -> np.ndarray:
         """Per-asset martingale corrections."""
         return np.array(
             [omega(float(th), float(sg), self.nu) for th, sg in zip(self.theta, self.sigma)]
         )
-
-    def forward(self) -> float:
-        return float(self.c @ self.S0)
 
 
 @dataclass(frozen=True)
@@ -283,17 +260,7 @@ def random_vg_instance(
     bs = random_instance(d, seed, strike_mode)
     gen = RngSpec(base_seed=seed, stream_id=_THETA_STREAM).generator()
     theta = gen.uniform(lo, hi, d)
-    return VarianceGammaBasket(
-        S0=bs.S0,
-        sigma=bs.sigma,
-        rho=bs.rho,
-        c=bs.c,
-        K=bs.K,
-        theta=theta,
-        nu=nu,
-        T=bs.T,
-        r=0.0,
-    )
+    return VarianceGammaBasket(**vars(bs), theta=theta, nu=nu)
 
 
 def vg_example(modified: bool = False) -> VarianceGammaBasket:

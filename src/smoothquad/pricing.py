@@ -175,6 +175,8 @@ def _bs_conditional(prob, dec, v):
     lam1 = math.sqrt(dec.lambda_sq[0])
     growth = math.exp(0.5 * dec.lambda_sq[0])
     w_sel, w_rest = _split_weights(prob.w, v)
+    if v is not None and not np.array_equal(v, dec.v):
+        raise ValueError("direction differs from the decomposition's")
     K = prob.K
 
     def func(points):
@@ -203,19 +205,10 @@ def smoothed_integrand_v(
     the others enter as a state-dependent strike shift: the value is
     bs_call(h1 e^{lambda1^2/2}, K - h2, lambda1) with h1 summing the
     selected and h2 the remaining assets.  A shifted strike below zero
-    uses the sure-payoff branch of the call formula.
+    uses the sure-payoff branch of the call formula.  ``dec`` must be
+    the decomposition along ``v`` itself.
     """
     return _bs_conditional(prob, dec, v)
-
-
-def _mean_se_of(f, sampler, n):
-    """Mean of ``f`` over ``n`` points drawn in order from ``sampler``, and its standard error.
-
-    One run of :func:`_sample_runs`, on the calling thread: the sampler
-    is asked for ``_BLOCK`` rows at a time, the last block holding the
-    rest.
-    """
-    return _sample_runs(f, n, lambda run: sampler)[0]
 
 
 def _normal_sampler(gen, n, dim):
@@ -259,7 +252,7 @@ def _sobol_normal_sampler(dim, n):
     return sampler
 
 
-def _vg_sampler(gen, model, n, dim):
+def _vg_sampler(model, gen, n, dim):
     """Sampler of ``dim``-column (y, z) rows for Variance-Gamma, each block in one buffer.
 
     Column 0 takes the Gamma(T/nu, nu) time changes of each
@@ -418,6 +411,19 @@ def _sample_runs(integrand, n, sampler_of, runs=1):
     return results
 
 
+def _mc_runs(integrand, n, specs, sampler):
+    """``(mean, se)`` of ``integrand`` over ``n`` points of each stream in ``specs``.
+
+    Run ``r`` draws from ``sampler(specs[r].generator(), n, dim)``; the
+    runs are spread over the usable cores as in :func:`_sample_runs`.
+    """
+
+    def sampler_of(run):
+        return sampler(specs[run].generator(), n, integrand.dim)
+
+    return _sample_runs(integrand, n, sampler_of, len(specs))
+
+
 def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
     """Monte Carlo price: median over independent seeded runs.
 
@@ -427,20 +433,14 @@ def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
     are spread over the usable cores; every value is the same for any
     core count.
     """
-
-    def sampler_of(run):
-        gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
-        return _normal_sampler(gen, n, integrand.dim)
-
-    estimates = np.array([mean for mean, _ in _sample_runs(integrand, n, sampler_of, runs)])
+    specs = [rng.stream(run) for run in range(runs)]
+    estimates = np.array([mean for mean, _ in _mc_runs(integrand, n, specs, _normal_sampler)])
     return float(np.median(estimates)), estimates
 
 
 def mc_mean_se(integrand: Integrand, n: int, rng: RngSpec):
     """Single-stream Monte Carlo mean with its standard error."""
-    return _sample_runs(
-        integrand, n, lambda run: _normal_sampler(rng.generator(), n, integrand.dim)
-    )[0]
+    return _mc_runs(integrand, n, [rng], _normal_sampler)[0]
 
 
 def price_qmc(integrand: Integrand, n: int) -> float:
@@ -620,9 +620,7 @@ def price_vg_mc(
     stream before their normals.
     """
     integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
-    mean, se = _sample_runs(
-        integrand, n, lambda run: _vg_sampler(rng.generator(), model, n, integrand.dim)
-    )[0]
+    mean, se = _mc_runs(integrand, n, [rng], functools.partial(_vg_sampler, model))[0]
     return (mean, se) if return_se else mean
 
 
@@ -633,12 +631,8 @@ def price_vg_mc_median(model: VarianceGammaBasket, n: int, rng: RngSpec, raw: bo
     and the runs are spread over the usable cores as in :func:`price_mc`.
     """
     integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
-
-    def sampler_of(run):
-        gen = RngSpec(base_seed=rng.base_seed, stream_id=run).generator()
-        return _vg_sampler(gen, model, n, integrand.dim)
-
-    runs = _sample_runs(integrand, n, sampler_of, MC_RUNS)
+    specs = [rng.stream(run) for run in range(MC_RUNS)]
+    runs = _mc_runs(integrand, n, specs, functools.partial(_vg_sampler, model))
     return float(np.median([mean for mean, _ in runs]))
 
 

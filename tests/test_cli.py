@@ -583,6 +583,31 @@ class TestPriceVerb:
         assert "config error: seed" in capsys.readouterr().err
 
 
+class TestReadmeConfigs:
+    """The configs README's command lines name exist and run."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_readme_names_committed_configs(self):
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        named = {w for w in readme.split() if w.startswith("experiments/")}
+        assert named == {"experiments/bs8.conf", "experiments/ls15.conf"}
+        assert all((self.ROOT / path).is_file() for path in named)
+        # bs8.conf is README's own config block
+        assert (self.ROOT / "experiments/bs8.conf").read_text(encoding="utf-8") in readme
+
+    @pytest.mark.parametrize(
+        "verb,conf",
+        [("decomp", "bs8"), ("decomp", "ls15"), ("price", "bs8"), ("converge", "bs8"), ("vg", "ls15")],
+    )
+    def test_verb_runs(self, tmp_path, capsys, verb, conf):
+        argv = [verb, "--config", str(self.ROOT / "experiments" / f"{conf}.conf")]
+        if verb in ("converge", "vg"):
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+
+
 class TestPlotVerb:
     def make_csv(self, tmp_path):
         conf = write_config(tmp_path / "c.conf", BS2_SWEEP)

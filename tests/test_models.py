@@ -52,6 +52,21 @@ class TestDoustCorrelation:
         with pytest.raises(ValueError):
             rho[0, 1] = 0.0
 
+    def test_matches_running_product_loop(self):
+        # the factor built one multiplication at a time, as the columns are defined
+        gen = np.random.default_rng(4)
+        for d in range(1, 41):
+            for x in (gen.uniform(0.8, 1.0, d - 1), gen.uniform(-1.0, 1.0, d - 1)):
+                tau = np.zeros((d, d))
+                for k in range(d):
+                    run = 1.0 if k == 0 else math.sqrt(1.0 - x[k - 1] ** 2)
+                    tau[k, k] = run
+                    for i in range(k + 1, d):
+                        run *= x[i - 1]
+                        tau[i, k] = run
+                rho = tau @ tau.T
+                np.testing.assert_array_equal(models.doust_correlation(x), 0.5 * (rho + rho.T))
+
 
 class TestOmega:
     def test_zero_skew_zero_vol(self):
@@ -79,6 +94,17 @@ class TestOmega:
             models.omega(0.0, 0.1, 0.0)
 
 
+BS_OK = dict(S0=[10.0, 12.0], sigma=[0.3, 0.3], rho=np.eye(2), c=[0.5, 0.5], K=11.0)
+BS_INVALID = [
+    {"S0": [10.0, -1.0]},
+    {"sigma": [0.3]},
+    {"K": 0.0},
+    {"T": -1.0},
+    {"rho": [[1.0, 0.2], [0.3, 1.0]]},
+    {"rho": [[1.1, 0.0], [0.0, 1.0]]},
+]
+
+
 class TestBlackScholesBasket:
     def test_forward_and_dimension(self):
         m = models.BlackScholesBasket(
@@ -93,25 +119,10 @@ class TestBlackScholesBasket:
         assert m.T == 1.0
 
     def test_validation(self):
-        ok = dict(
-            S0=[10.0, 12.0],
-            sigma=[0.3, 0.3],
-            rho=np.eye(2),
-            c=[0.5, 0.5],
-            K=11.0,
-        )
-        with pytest.raises(ValueError):
-            models.BlackScholesBasket(**{**ok, "S0": [10.0, -1.0]})
-        with pytest.raises(ValueError):
-            models.BlackScholesBasket(**{**ok, "sigma": [0.3]})
-        with pytest.raises(ValueError):
-            models.BlackScholesBasket(**{**ok, "K": 0.0})
-        with pytest.raises(ValueError):
-            models.BlackScholesBasket(**{**ok, "T": -1.0})
-        with pytest.raises(ValueError):
-            models.BlackScholesBasket(**{**ok, "rho": [[1.0, 0.2], [0.3, 1.0]]})
-        with pytest.raises(ValueError):
-            models.BlackScholesBasket(**{**ok, "rho": [[1.1, 0.0], [0.0, 1.0]]})
+        models.BlackScholesBasket(**BS_OK)
+        for bad in BS_INVALID:
+            with pytest.raises(ValueError):
+                models.BlackScholesBasket(**{**BS_OK, **bad})
 
     def test_fields_immutable(self):
         m = models.BlackScholesBasket(
@@ -227,6 +238,18 @@ class TestVarianceGamma:
         np.testing.assert_allclose(
             base, np.outer(ex.sigma, ex.sigma) * ex.rho, rtol=1e-15
         )
+
+    def test_validation(self):
+        # every Black-Scholes check holds for the Variance-Gamma basket too
+        ok = dict(BS_OK, theta=[-0.1, 0.0], nu=0.3)
+        vg = models.VarianceGammaBasket(**ok)
+        assert isinstance(vg, models.BlackScholesBasket) and vg.r == 0.0
+        vg_invalid = [{"theta": [-0.1]}, {"theta": [-0.1, 0.0, 0.0]}, {"nu": 0.0}, {"nu": -0.3}]
+        for bad in BS_INVALID + vg_invalid:
+            with pytest.raises(ValueError):
+                models.VarianceGammaBasket(**{**ok, **bad})
+        with pytest.raises(ValueError):
+            vg.theta[0] = 0.1
 
     def test_invalid_skew_rejected_at_construction(self):
         with pytest.raises(OmegaUndefined):

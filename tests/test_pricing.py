@@ -275,6 +275,10 @@ class TestIntegrandConstruction:
             pricing.smoothed_integrand_v(prob, [1.0, 0.5, 0.0], dec)
         with pytest.raises(ValueError):
             pricing.smoothed_integrand_v(prob, [0.0, 0.0, 0.0], dec)
+        # a decomposition built for another direction
+        prob, dec = smoothing_parts(models.random_instance(4, 17))
+        with pytest.raises(ValueError, match="decomposition"):
+            pricing.smoothed_integrand_v(prob, [1.0, 1.0, 0.0, 1.0], dec)
 
     def test_integrand_is_callable_record(self):
         f = pricing.Integrand(dim=2, func=lambda p: p[:, 0], label="probe")
@@ -385,7 +389,7 @@ class TestMonteCarlo:
             return points[:, 0]
 
         n = 2 * 2**16 + 8197
-        mean, _ = pricing._mean_se_of(f, sampler, n)
+        mean, _ = pricing._sample_runs(f, n, lambda run: sampler)[0]
         assert drawn == [8192] * 17 + [5]
         assert evaluated == drawn and sum(evaluated) == n
         assert mean == (n - 1) / 2
