@@ -252,6 +252,12 @@ def _trace_writer(enabled):
     return write
 
 
+def _mc_row(cfg, f):
+    """MC row pricer of ``f``: the median of ``price_mc`` on the configured seed, or 0."""
+    rng = RngSpec(cfg.seed if cfg.seed is not None else 0)
+    return lambda n: pricing.price_mc(f, n, rng)[0]
+
+
 def _bs_methods(cfg, model, trace):
     """Method table of a ``converge`` sweep, and the covariance it smooths.
 
@@ -263,12 +269,9 @@ def _bs_methods(cfg, model, trace):
     dec = linalg.rank_one_reduce(prob.Sigma)
     f_raw = pricing.raw_integrand(prob, dec)
     g_cs = pricing.smoothed_integrand(prob, dec)
-    seed = cfg.seed if cfg.seed is not None else 0
+    mc = functools.partial(_mc_row, cfg)
     # built once, in the first control-variate row, so a failure is that row's status
     control_variate = functools.cache(lambda: pricing.control_variate(g_cs))
-
-    def mc(f):
-        return lambda n: pricing.price_mc(f, n, RngSpec(seed))[0]
 
     def qmc(f):
         return lambda n: pricing.price_qmc(f, n)
@@ -309,18 +312,15 @@ def _vg_methods(cfg, model, trace):
     base = models.vg_base_matrix(model)
     lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
     print(f"lambda_sq {lams}")
-    seed = cfg.seed if cfg.seed is not None else 0
-
-    def mc(raw):
-        return lambda n: pricing.price_vg_mc_median(model, n, RngSpec(seed), raw=raw)
-
+    f_raw, g_cs = pricing.vg_raw_integrand(model), pricing.vg_smoothed_integrand(model)
+    mc = functools.partial(_mc_row, cfg)
     asg = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
 
     def cs2(v, lam1_sq):
         print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
         return functools.partial(asg, v=v)
 
-    return {"MC": mc(True), "MC+CS": mc(False), "aSG+CS": asg, "aSG+CS2": cs2}, base
+    return {"MC": mc(f_raw), "MC+CS": mc(g_cs), "aSG+CS": asg, "aSG+CS2": cs2}, base
 
 
 def _row_tasks(cfg, table, sigma):

@@ -111,10 +111,10 @@ class BlackScholesBasket:
         if self.sigma.size != d or self.c.size != d:
             raise ValueError("S0, sigma and c must share one length")
         object.__setattr__(self, "rho", _frozen_correlation(self.rho, d))
-        if not self.K > 0.0:
-            raise ValueError(f"strike {self.K} must be positive")
-        if not self.T > 0.0:
-            raise ValueError(f"maturity {self.T} must be positive")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"strike {self.K} must be positive and finite")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"maturity {self.T} must be positive and finite")
 
     @property
     def d(self) -> int:
@@ -145,6 +145,8 @@ class VarianceGammaBasket(BlackScholesBasket):
             raise ValueError("theta must have one skew per asset")
         if not self.nu > 0.0:
             raise ValueError(f"nu = {self.nu} must be positive")
+        if not math.isfinite(self.r):
+            raise ValueError(f"rate {self.r} must be finite")
         # omega existence doubles as the model validity check
         self.omegas()
 

@@ -5,8 +5,8 @@ Conditioning on the rank-one factor of the covariance replaces it with
 a smooth integrand (the Black-Scholes formula evaluated along the
 remaining factors), which Monte Carlo, quasi-Monte Carlo, adaptive
 sparse grids and an interpolation control variate then integrate.  The
-Variance-Gamma variants add the time change y as an extra integration
-variable handled by generalized Gauss-Laguerre differences.  Every
+Variance-Gamma variants add the Gamma variable u of the time change
+y = nu u, handled by generalized Gauss-Laguerre differences.  Every
 smoothed builder maps its points to an exponent and shares one
 conditional-call kernel; Black-Scholes is the case y = 1, theta = 0.
 """
@@ -44,17 +44,39 @@ _PRICE_FLOOR = 1e-300
 MC_RUNS = 20  # seeded runs a Monte Carlo price takes the median of
 
 
+def _normal_sampler(gen, n, dim):
+    """Sampler of ``dim``-column standard normals, each block landing in one buffer.
+
+    Each block is drawn and assigned, so the draw is freed before the
+    integrand runs: only one block-sized temporary is alive at a time,
+    and the allocator reuses its memory instead of returning it to the
+    system and faulting it back in on every block.  (Drawing with
+    ``out=`` would save the copy, but perfbench's tracer wraps
+    ``standard_normal`` with a ``size`` argument only.)
+    """
+    buf = np.empty((min(n, _BLOCK), dim))
+
+    def sampler(m):
+        out = buf[:m]
+        out[...] = gen.standard_normal(out.shape)
+        return out
+
+    return sampler
+
+
 @dataclass(frozen=True)
 class Integrand:
-    """Batched integrand together with its dimension and a label.
+    """Batched integrand with its dimension, a label and the law of its points.
 
     ``func`` maps an (n, dim) array of points to n values; payoff
-    integrands are nonnegative by construction.
+    integrands are nonnegative by construction.  ``sampler(gen, n, dim)``
+    builds the Monte Carlo sampler of the points: standard normals by default.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     label: str
+    sampler: Callable = _normal_sampler
 
     def __call__(self, points):
         return self.func(points)
@@ -175,7 +197,7 @@ def _bs_conditional(prob, dec, v):
     lam1 = math.sqrt(dec.lambda_sq[0])
     growth = math.exp(0.5 * dec.lambda_sq[0])
     w_sel, w_rest = _split_weights(prob.w, v)
-    if v is not None and not np.array_equal(v, dec.v):
+    if not np.array_equal(np.ones(prob.d) if v is None else v, dec.v):
         raise ValueError("direction differs from the decomposition's")
     K = prob.K
 
@@ -191,7 +213,7 @@ def smoothed_integrand(prob: EffectiveProblem, dec: linalg.SmoothingDecompositio
 
     g(zbar) = bs_call(h(zbar) e^{lambda1^2/2}, K, lambda1) with h the
     weighted exponential sum over the non-smoothing factor loadings.
-    Infinitely differentiable and strictly positive.
+    Infinitely differentiable and strictly positive.  ``dec`` is along v = 1.
     """
     return _bs_conditional(prob, dec, None)
 
@@ -209,26 +231,6 @@ def smoothed_integrand_v(
     the decomposition along ``v`` itself.
     """
     return _bs_conditional(prob, dec, v)
-
-
-def _normal_sampler(gen, n, dim):
-    """Sampler of ``dim``-column standard normals, each block landing in one buffer.
-
-    Each block is drawn and assigned, so the draw is freed before the
-    integrand runs: only one block-sized temporary is alive at a time,
-    and the allocator reuses its memory instead of returning it to the
-    system and faulting it back in on every block.  (Drawing with
-    ``out=`` would save the copy, but perfbench's tracer wraps
-    ``standard_normal`` with a ``size`` argument only.)
-    """
-    buf = np.empty((min(n, _BLOCK), dim))
-
-    def sampler(m):
-        out = buf[:m]
-        out[...] = gen.standard_normal(out.shape)
-        return out
-
-    return sampler
 
 
 def _sobol_normal_sampler(dim, n):
@@ -252,10 +254,10 @@ def _sobol_normal_sampler(dim, n):
     return sampler
 
 
-def _vg_sampler(model, gen, n, dim):
-    """Sampler of ``dim``-column (y, z) rows for Variance-Gamma, each block in one buffer.
+def _vg_sampler(shape, gen, n, dim):
+    """Sampler of ``dim``-column (u, z) rows for Variance-Gamma, each block in one buffer.
 
-    Column 0 takes the Gamma(T/nu, nu) time changes of each
+    Column 0 takes the standard Gamma(shape, 1) variables u = y / nu of each
     ``_DRAW``-row batch of the ``n`` rows, drawn at the batch's first
     block and before any of its normals; the other columns take each
     block's own normal draw.  Normals do not depend on how a stream is
@@ -264,16 +266,16 @@ def _vg_sampler(model, gen, n, dim):
     straddles two batches.
     """
     buf = np.empty((min(n, _BLOCK), dim))
-    y = None
+    u = None
     served = 0
 
     def sampler(m):
-        nonlocal y, served
+        nonlocal u, served
         at = served % _DRAW
         if at == 0:
-            y = gen.gamma(model.T / model.nu, model.nu, min(_DRAW, n - served))
+            u = gen.gamma(shape, 1.0, min(_DRAW, n - served))
         out = buf[:m]
-        out[:, 0] = y[at : at + m]
+        out[:, 0] = u[at : at + m]
         out[:, 1:] = gen.standard_normal((m, dim - 1))
         served += m
         return out
@@ -411,36 +413,33 @@ def _sample_runs(integrand, n, sampler_of, runs=1):
     return results
 
 
-def _mc_runs(integrand, n, specs, sampler):
-    """``(mean, se)`` of ``integrand`` over ``n`` points of each stream in ``specs``.
-
-    Run ``r`` draws from ``sampler(specs[r].generator(), n, dim)``; the
-    runs are spread over the usable cores as in :func:`_sample_runs`.
-    """
-
-    def sampler_of(run):
-        return sampler(specs[run].generator(), n, integrand.dim)
-
-    return _sample_runs(integrand, n, sampler_of, len(specs))
-
-
 def price_mc(integrand: Integrand, n: int, rng: RngSpec, runs: int = MC_RUNS):
     """Monte Carlo price: median over independent seeded runs.
 
-    Each run averages n evaluations at standard-normal points from its
-    own stream (stream id equal to the run index), and the median of
-    the run estimates is reported together with all of them.  The runs
-    are spread over the usable cores; every value is the same for any
-    core count.
+    Each run averages n evaluations at points drawn by
+    ``integrand.sampler`` from its own stream (stream id equal to the run
+    index), and the median of the run estimates is reported together
+    with all of them.  The runs are spread over the usable cores; every
+    value is the same for any core count.
     """
-    specs = [rng.stream(run) for run in range(runs)]
-    estimates = np.array([mean for mean, _ in _mc_runs(integrand, n, specs, _normal_sampler)])
+
+    def sampler_of(run):
+        return integrand.sampler(rng.stream(run).generator(), n, integrand.dim)
+
+    estimates = np.array([mean for mean, _ in _sample_runs(integrand, n, sampler_of, runs)])
     return float(np.median(estimates)), estimates
 
 
 def mc_mean_se(integrand: Integrand, n: int, rng: RngSpec):
-    """Single-stream Monte Carlo mean with its standard error."""
-    return _mc_runs(integrand, n, [rng], _normal_sampler)[0]
+    """Single-stream Monte Carlo mean with its standard error, drawn from ``integrand.sampler``."""
+    dim = integrand.dim
+    return _sample_runs(integrand, n, lambda _: integrand.sampler(rng.generator(), n, dim))[0]
+
+
+def _require_normal(integrand):
+    """Raise ValueError unless the integrand's points are standard normals."""
+    if integrand.sampler is not _normal_sampler:
+        raise ValueError(f"{integrand.label} integrand is not over standard normal points")
 
 
 def price_qmc(integrand: Integrand, n: int) -> float:
@@ -450,8 +449,10 @@ def price_qmc(integrand: Integrand, n: int) -> float:
     arrays, mapped to normals in place, so memory does not grow with n.
     The blocks are spread over the usable cores, each worker with its
     own stream, and the price is the same for any core count.  A
-    zero-dimensional integrand is its value at the one point.
+    zero-dimensional integrand is its value at the one point.  Any
+    integrand not over standard normals raises ValueError.
     """
+    _require_normal(integrand)
     if integrand.dim == 0 and n >= 1:  # the driver rejects n < 1
         return float(np.asarray(integrand(np.zeros((1, 0))))[0])
     return _sample_runs(integrand, n, lambda run: _sobol_normal_sampler(integrand.dim, n))[0][0]
@@ -484,8 +485,10 @@ def control_variate(integrand: Integrand):
 
     g is the total-degree-2 sparse-grid interpolant of the integrand,
     built once; its Gaussian mean is exact, so the mean of the residual
-    under any sampler plus ``mean`` estimates the price.
+    under any sampler plus ``mean`` estimates the price; like that mean,
+    the integrand must be over standard normals.
     """
+    _require_normal(integrand)
     g, mean = interpolant_total_degree(integrand, integrand.dim)
 
     def residual(points):
@@ -528,10 +531,11 @@ def _vg_forward_weights(model):
 
 
 def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
-    """Smoothed Variance-Gamma integrand over (y, zbar).
+    """Smoothed Variance-Gamma integrand over (u, zbar).
 
-    The first coordinate is the Gamma time change value y; the rest
-    are the non-smoothing Gaussian factors.  Given y it is the
+    The first coordinate is the standard Gamma(T/nu, 1) variable u of
+    the time change y = nu u; the rest are the non-smoothing Gaussian
+    factors, and ``sampler`` draws both.  Given y it is the
     Black-Scholes conditional call with exponent theta y + sqrt(y) zbar L^T,
     growth e^{y lambda1^2/2} and volatility sqrt(y) lambda1, discounted,
     where L and lambda1 come from the time-free base covariance
@@ -545,11 +549,12 @@ def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
     lam1_sq = dec.lambda_sq[0]
     lam1 = math.sqrt(lam1_sq)
     theta = model.theta
+    nu = model.nu
     K = model.K
 
     def func(points):
         points = np.asarray(points, dtype=float)
-        y = points[:, 0]
+        y = nu * points[:, 0]
         root = np.sqrt(y)
         tilt = points[:, 1:] @ loadings.T
         tilt *= root[:, None]
@@ -558,49 +563,43 @@ def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
         growth = np.exp(0.5 * y * lam1_sq)
         return disc * _conditional_call(tilt, w_sel, w_rest, K, growth, root * lam1)
 
-    return Integrand(dim=model.d, func=func, label="VG-CS" if v is None else "VG-CS2")
+    label = "VG-CS" if v is None else "VG-CS2"
+    return Integrand(model.d, func, label, functools.partial(_vg_sampler, model.T / nu))
 
 
 def vg_raw_integrand(model: VarianceGammaBasket) -> Integrand:
-    """Kinked Variance-Gamma payoff over (y, z) in rotated coordinates."""
+    """Kinked Variance-Gamma payoff over (u, z) in rotated coordinates, y = nu u."""
     w, disc = _vg_forward_weights(model)
     dec = linalg.rank_one_reduce(vg_base_matrix(model))
     transform = dec.V * np.sqrt(dec.lambda_sq)
     theta = model.theta
+    nu = model.nu
     K = model.K
 
     def func(points):
         points = np.asarray(points, dtype=float)
-        y = points[:, 0]
+        y = nu * points[:, 0]
         x = points[:, 1:] @ transform.T
         x *= np.sqrt(y)[:, None]
         x += theta * y[:, None]
         return disc * _payoff(x, w, K)
 
-    return Integrand(dim=model.d + 1, func=func, label="VG-raw")
+    return Integrand(model.d + 1, func, "VG-raw", functools.partial(_vg_sampler, model.T / nu))
 
 
 def price_vg_smoothed(model: VarianceGammaBasket, tol: float, v=None, trace=None):
     """Adaptive sparse-grid price of a Variance-Gamma basket.
 
-    The time change is integrated with generalized Gauss-Laguerre
-    differences after substituting y = nu u, which maps the Gamma
-    density exactly onto the Laguerre weight with alpha = T/nu - 1;
-    the Gaussian factors use the Genz-Keister sequence.  Returns the
+    The integrand's first coordinate u = y / nu has the Gamma(T/nu, 1)
+    density, which is the generalized Gauss-Laguerre weight with
+    alpha = T/nu - 1, so Laguerre differences integrate it; the
+    Gaussian factors use the Genz-Keister sequence.  Returns the
     estimate and the adaptive state, as :func:`price_asg` does.
     """
     g = vg_smoothed_integrand(model, v=v)
-    nu = model.nu
-    alpha = model.T / nu - 1.0
-
-    def substituted(points):
-        pts = np.array(points, dtype=float, copy=True)
-        pts[:, 0] *= nu
-        return g(pts)
-
-    wrapped = Integrand(dim=model.d, func=substituted, label=g.label)
+    alpha = model.T / model.nu - 1.0
     seqs = [laguerre_sequence(alpha)] + [genz_keister_sequence()] * (model.d - 1)
-    return price_asg(wrapped, tol, seqs=seqs, trace=trace)
+    return price_asg(g, tol, seqs=seqs, trace=trace)
 
 
 def price_vg_mc(
@@ -610,30 +609,14 @@ def price_vg_mc(
     raw: bool = False,
     return_se: bool = False,
 ):
-    """Monte Carlo price of a Variance-Gamma basket.
+    """Monte Carlo price of a Variance-Gamma basket: :func:`mc_mean_se` on its integrand.
 
-    Draws the time change from its Gamma law and the Gaussian factors
-    from the standard normal, then averages the smoothed integrand
-    (or the raw payoff when ``raw`` is set, using the full factor
-    vector).  The rows stream one block at a time, as in
-    :func:`price_mc`; the Gammas of each ``_DRAW`` rows come from the
-    stream before their normals.
+    The integrand is the smoothed one, or the raw payoff when ``raw`` is
+    set; both carry the Gamma-then-normal law of :func:`_vg_sampler`.
     """
     integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
-    mean, se = _mc_runs(integrand, n, [rng], functools.partial(_vg_sampler, model))[0]
+    mean, se = mc_mean_se(integrand, n, rng)
     return (mean, se) if return_se else mean
-
-
-def price_vg_mc_median(model: VarianceGammaBasket, n: int, rng: RngSpec, raw: bool = False):
-    """Variance-Gamma Monte Carlo price: median over ``MC_RUNS`` seeded runs.
-
-    Run ``r`` is :func:`price_vg_mc` on stream ``r`` of ``rng``'s seed,
-    and the runs are spread over the usable cores as in :func:`price_mc`.
-    """
-    integrand = vg_raw_integrand(model) if raw else vg_smoothed_integrand(model)
-    specs = [rng.stream(run) for run in range(MC_RUNS)]
-    runs = _mc_runs(integrand, n, specs, functools.partial(_vg_sampler, model))
-    return float(np.median([mean for mean, _ in runs]))
 
 
 def reference_tolerance(d: int) -> float:

@@ -99,7 +99,9 @@ BS_INVALID = [
     {"S0": [10.0, -1.0]},
     {"sigma": [0.3]},
     {"K": 0.0},
+    {"K": math.inf},
     {"T": -1.0},
+    {"T": math.inf},
     {"rho": [[1.0, 0.2], [0.3, 1.0]]},
     {"rho": [[1.1, 0.0], [0.0, 1.0]]},
 ]
@@ -245,6 +247,7 @@ class TestVarianceGamma:
         vg = models.VarianceGammaBasket(**ok)
         assert isinstance(vg, models.BlackScholesBasket) and vg.r == 0.0
         vg_invalid = [{"theta": [-0.1]}, {"theta": [-0.1, 0.0, 0.0]}, {"nu": 0.0}, {"nu": -0.3}]
+        vg_invalid += [{"r": math.nan}, {"r": math.inf}, {"r": -math.inf}]
         for bad in BS_INVALID + vg_invalid:
             with pytest.raises(ValueError):
                 models.VarianceGammaBasket(**{**ok, **bad})

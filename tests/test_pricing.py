@@ -279,6 +279,10 @@ class TestIntegrandConstruction:
         prob, dec = smoothing_parts(models.random_instance(4, 17))
         with pytest.raises(ValueError, match="decomposition"):
             pricing.smoothed_integrand_v(prob, [1.0, 1.0, 0.0, 1.0], dec)
+        # the plain builder needs the all-ones decomposition
+        dec_v = linalg.rank_one_reduce(prob.Sigma, [1.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="decomposition"):
+            pricing.smoothed_integrand(prob, dec_v)
 
     def test_integrand_is_callable_record(self):
         f = pricing.Integrand(dim=2, func=lambda p: p[:, 0], label="probe")
@@ -792,6 +796,19 @@ class TestQuasiMonteCarlo:
         with pytest.raises(ValueError):
             pricing.price_qmc(g, 0)
 
+    def test_needs_normal_points(self):
+        # Sobol points map to normals in every column, not to a Gamma column 0
+        vg = models.vg_example()
+        for g in (pricing.vg_smoothed_integrand(vg), pricing.vg_raw_integrand(vg)):
+            with pytest.raises(ValueError, match="normal"):
+                pricing.price_qmc(g, 1000)
+        prob, dec = smoothing_parts(models.random_instance(3, 19))
+        v = np.array([1.0, 1.0, 0.0])
+        g_v = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
+        for f in (pricing.raw_integrand(prob, dec), pricing.smoothed_integrand(prob, dec), g_v):
+            assert f.sampler is pricing._normal_sampler
+            assert math.isfinite(pricing.price_qmc(f, 1000))
+
 
 class TestAdaptiveSparseGrid:
     def test_constant_integrand(self):
@@ -906,6 +923,9 @@ class TestControlVariate:
             pricing.price_cv(dim0, 10, mode="latin")
         with pytest.raises(ValueError):
             pricing.price_cv(dim0, 10, mode="mc")
+        # the interpolant's mean is Gaussian
+        with pytest.raises(ValueError, match="normal"):
+            pricing.price_cv(pricing.vg_smoothed_integrand(models.vg_example()), 10, mode="qmc")
 
 
 class TestVarianceGamma:
@@ -954,12 +974,13 @@ class TestVarianceGamma:
         f = pricing.vg_raw_integrand(model)
         rng = np.random.default_rng(6)
         rng_raw = np.random.default_rng(8)
-        for y in (0.2, 0.7, 1.9):
+        for u in (0.4, 1.4, 3.8):
+            y = model.nu * u
             zbar = rng.standard_normal((5, 2))
             prob_y = models.effective_vg(model, y)
             dec_y = linalg.rank_one_reduce(prob_y.Sigma)
             g_y = pricing.smoothed_integrand(prob_y, dec_y)
-            pts = np.column_stack([np.full(5, y), zbar])
+            pts = np.column_stack([np.full(5, u), zbar])
             np.testing.assert_allclose(g(pts), g_y(zbar), rtol=1e-10)
             g2_y = pricing.smoothed_integrand_v(
                 prob_y, v, linalg.rank_one_reduce(prob_y.Sigma, v)
@@ -968,7 +989,7 @@ class TestVarianceGamma:
             z = rng_raw.standard_normal((5, 3))
             f_y = pricing.raw_integrand(prob_y, dec_y)
             np.testing.assert_allclose(
-                f(np.column_stack([np.full(5, y), z])), f_y(z), rtol=1e-10
+                f(np.column_stack([np.full(5, u), z])), f_y(z), rtol=1e-10
             )
 
     def test_smoothed_and_raw_sampling_agree(self):
@@ -983,11 +1004,11 @@ class TestVarianceGamma:
     def test_mc_matches_hand_rolled_draws(self):
         model = models.vg_example(True)
         gen = RngSpec(4).generator()
-        shape, scale = model.T / model.nu, model.nu
+        shape = model.T / model.nu
         batches = []
         for m in (2**16, 5):
-            y = gen.gamma(shape, scale, m)
-            batches.append(np.column_stack([y, gen.standard_normal((m, model.d - 1))]))
+            u = gen.gamma(shape, 1.0, m)
+            batches.append(np.column_stack([u, gen.standard_normal((m, model.d - 1))]))
         vals = pricing.vg_smoothed_integrand(model)(np.vstack(batches))
         price = pricing.price_vg_mc(model, 2**16 + 5, RngSpec(4))
         np.testing.assert_allclose(price, vals.mean(), rtol=1e-15)
@@ -997,9 +1018,19 @@ class TestVarianceGamma:
         model = models.vg_example(True)
         n = 2**16 + 5
         runs = [pricing.price_vg_mc(model, n, RngSpec(5, stream_id=r)) for r in range(20)]
+        g = pricing.vg_smoothed_integrand(model)
         for workers in (1, 2, 5):
             monkeypatch.setattr(pricing, "_usable_cores", lambda: workers)
-            assert pricing.price_vg_mc_median(model, n, RngSpec(5)) == float(np.median(runs))
+            assert pricing.price_mc(g, n, RngSpec(5))[0] == float(np.median(runs))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampler_and_laguerre_rule_share_column_0(self, seed):
+        # a sampler drawing y = nu u into column 0 reads hundreds of SE off
+        model = models.random_vg_instance(4, seed)
+        value, _ = pricing.price_vg_smoothed(model, 1e-4)
+        g = pricing.vg_smoothed_integrand(model)
+        mean, se = pricing.mc_mean_se(g, 200_000, RngSpec(9))
+        assert abs(value - mean) <= 3.0 * se
 
     def test_mc_peak_does_not_grow_with_n(self):
         # one block of rows at a time, beside one batch of Gammas
