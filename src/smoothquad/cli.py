@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg, models, pricing
-from .errors import BudgetExhausted, ConfigInvalid, DimensionTooLarge, SmoothQuadError
+from .errors import BudgetExhausted, ConfigInvalid, SmoothQuadError
 from .sampling import RngSpec
 
 PLOT_STYLE = {
@@ -259,11 +259,10 @@ def _mc_row(cfg, f):
 
 
 def _bs_methods(cfg, model, trace):
-    """Method table of a ``converge`` sweep, and the covariance it smooths.
+    """Method table of a ``converge`` sweep.
 
     Each sampling method maps to a pricer of a budget n, each adaptive
-    one to a pricer of a tolerance returning (value, state); ``aSG+CS2``
-    maps to a factory taking the found direction and its lambda1^2.
+    one to a pricer of a tolerance returning (value, state).
     """
     prob = models.effective_bs(model)
     dec = linalg.rank_one_reduce(prob.Sigma)
@@ -286,7 +285,10 @@ def _bs_methods(cfg, model, trace):
     def asg(f):
         return functools.partial(pricing.price_asg, f, trace=trace)
 
-    def cs2(v, _):
+    # searched once, in the first aSG+CS2 row, so DimensionTooLarge is that row's status
+    @functools.cache
+    def cs2():
+        v, _ = linalg.best_binary_v(prob.Sigma)
         return asg(pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v)))
 
     table = {
@@ -296,18 +298,18 @@ def _bs_methods(cfg, model, trace):
         "MC+CS": mc(g_cs),
         "QMC+CS": qmc(g_cs),
         "aSG+CS": asg(g_cs),
-        "aSG+CS2": cs2,
+        "aSG+CS2": lambda tol: cs2()(tol),
         "MC+CS+CV": with_cv(mc),
         "QMC+CS+CV": with_cv(qmc),
     }
-    return table, prob.Sigma
+    return table
 
 
 def _vg_methods(cfg, model, trace):
-    """Method table of a ``vg`` sweep, as in :func:`_bs_methods`, and the base covariance.
+    """Method table of a ``vg`` sweep, as in :func:`_bs_methods`.
 
-    Prints the base covariance's eigenvalues; the ``aSG+CS2`` factory
-    prints the direction it is given.
+    Prints the base covariance's eigenvalues; the first ``aSG+CS2`` row
+    prints the direction it found.
     """
     base = models.vg_base_matrix(model)
     lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
@@ -316,20 +318,20 @@ def _vg_methods(cfg, model, trace):
     mc = functools.partial(_mc_row, cfg)
     asg = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
 
-    def cs2(v, lam1_sq):
+    @functools.cache
+    def cs2():
+        v, lam1_sq = linalg.best_binary_v(base)
         print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
         return functools.partial(asg, v=v)
 
-    return {"MC": mc(f_raw), "MC+CS": mc(g_cs), "aSG+CS": asg, "aSG+CS2": cs2}, base
+    return {"MC": mc(f_raw), "MC+CS": mc(g_cs), "aSG+CS": asg, "aSG+CS2": lambda tol: cs2()(tol)}
 
 
-def _row_tasks(cfg, table, sigma):
+def _row_tasks(cfg, table):
     """One closure per CSV row, in config order, from a method table.
 
     A sampling method gives one row per budget, an adaptive one one row
-    per tolerance.  The binary direction search on ``sigma`` runs only
-    for ``aSG+CS2``; above the search's cap its rows get the status
-    ``DimensionTooLarge``.
+    per tolerance.
     """
     missing = [m for m in cfg.methods if m not in table]
     if missing:
@@ -338,20 +340,9 @@ def _row_tasks(cfg, table, sigma):
         )
     tasks = []
     for method in cfg.methods:
-        price = table[method]
-        if method == "aSG+CS2":
-            try:
-                price = price(*linalg.best_binary_v(sigma))
-            except DimensionTooLarge as exc:
-                price = functools.partial(_raise, exc)
         xs = cfg.budgets if method in SAMPLING_METHODS else cfg.tol_schedule
-        tasks.extend(_task(method, price, x) for x in xs)
+        tasks.extend(_task(method, table[method], x) for x in xs)
     return tasks
-
-
-def _raise(exc, *args):
-    """Row pricer for a method that could not be set up: raise its error."""
-    raise exc
 
 
 def _task(method, price, x):
@@ -415,15 +406,15 @@ def _run_tasks(tasks, ref):
 def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods) -> str:
     """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
-    ``methods(model)`` returns the method table and the covariance of the
-    direction search; the rows are measured against :func:`_reference_of`.
+    ``methods(model)`` returns the method table; the rows are measured
+    against :func:`_reference_of`.
     """
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
     model = build_instance(cfg)
     if cfg.model != kind:
         raise ConfigInvalid(wrong_model)
-    tasks = _row_tasks(cfg, *methods(model))
+    tasks = _row_tasks(cfg, methods(model))
     ref = _reference_of(cfg, model)
     records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")

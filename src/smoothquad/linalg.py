@@ -9,7 +9,8 @@ the high half skips every block whose values all lie above one already
 computed, so the search returns what the full enumeration would.  The
 Cholesky factor and the eigendecomposition are numpy's LAPACK calls;
 eigenvector signs are fixed by a rule because LAPACK leaves them
-arbitrary.  Dimension is capped at 35.
+arbitrary.  Dimension is capped at 35.  ``finite`` and ``symmetric``
+check every array where it enters this module and ``models``.
 """
 
 from dataclasses import dataclass
@@ -48,21 +49,28 @@ class SmoothingDecomposition:
     v: np.ndarray
 
 
-def _as_sym_matrix(a, max_dim=None) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if max_dim is not None and n > max_dim:
-        raise DimensionTooLarge(f"dimension {n} exceeds the cap of {max_dim}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if n else 1.0
-    if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    return a
+def finite(a, name) -> np.ndarray:
+    """``a`` as a new float array; raises ValueError on nan or +-inf."""
+    arr = np.array(a, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def symmetric(a, name) -> np.ndarray:
+    """:func:`finite` ``a``, required square and symmetric to ``1e-12 max|a|``."""
+    arr = finite(a, name)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if np.max(np.abs(arr - arr.T), initial=0.0) > 1e-12 * np.max(np.abs(arr), initial=0.0):
+        raise ValueError(f"{name} is not symmetric")
+    return arr
 
 
 def _inv_factor(sigma: np.ndarray) -> np.ndarray:
     """Inverse ``Linv`` of the lower Cholesky factor: sigma^-1 = Linv.T Linv."""
+    if sigma.shape[0] > MAX_DIM:
+        raise DimensionTooLarge(f"dimension {sigma.shape[0]} exceeds the cap of {MAX_DIM}")
     try:
         L = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
@@ -82,7 +90,7 @@ def _inv_quadratic(sigma: np.ndarray, v: np.ndarray) -> float:
 def _check_direction(v, n: int) -> np.ndarray:
     if v is None:
         return np.ones(n)
-    v = np.asarray(v, dtype=float)
+    v = finite(v, "direction")
     if v.shape != (n,):
         raise ValueError(f"direction has shape {v.shape}, expected ({n},)")
     if not np.any(v != 0.0):
@@ -95,7 +103,7 @@ def lambda1_sq(sigma, v=None) -> float:
 
     ``v`` defaults to the all-ones vector.
     """
-    sigma = _as_sym_matrix(sigma, max_dim=MAX_DIM)
+    sigma = symmetric(sigma, "covariance")
     v = _check_direction(v, sigma.shape[0])
     return 1.0 / _inv_quadratic(sigma, v)
 
@@ -129,7 +137,7 @@ def rank_one_reduce(sigma, v=None) -> SmoothingDecomposition:
     ZeroVector
         If ``v`` is identically zero.
     """
-    sigma = _as_sym_matrix(sigma, max_dim=MAX_DIM)
+    sigma = symmetric(sigma, "covariance")
     n = sigma.shape[0]
     v = _check_direction(v, n)
 
@@ -206,7 +214,7 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     DimensionTooLarge
         If ``d > 25`` (the enumeration is exponential in ``d``).
     """
-    sigma = _as_sym_matrix(sigma, max_dim=MAX_DIM)
+    sigma = symmetric(sigma, "covariance")
     n = sigma.shape[0]
     if n > MAX_ENUM_DIM:
         raise DimensionTooLarge(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OmegaUndefined, OutOfDomain
+from .linalg import finite, symmetric
 from .sampling import RngSpec
 
 ATM = "atm"
@@ -29,25 +30,20 @@ _THETA_STREAM = 10**9 + 1
 
 
 def _frozen_vector(a, name, positive=False):
-    arr = np.atleast_1d(np.asarray(a, dtype=float))
+    arr = np.atleast_1d(finite(a, name))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
     if positive and not np.all(arr > 0.0):
         raise ValueError(f"{name} must be strictly positive")
     arr.setflags(write=False)
     return arr
 
 
-def _frozen_correlation(rho, d):
-    arr = np.asarray(rho, dtype=float)
+def _frozen_matrix(a, name, d):
+    """Read-only ``d`` x ``d`` copy of :func:`linalg.symmetric` ``a``, made exactly symmetric."""
+    arr = symmetric(a, name)
     if arr.shape != (d, d):
-        raise ValueError(f"correlation must be {d}x{d}, got {arr.shape}")
-    if np.max(np.abs(arr - arr.T)) > 1e-12:
-        raise ValueError("correlation matrix is not symmetric")
-    if np.max(np.abs(np.diag(arr) - 1.0)) > 1e-12:
-        raise ValueError("correlation diagonal must be one")
+        raise ValueError(f"{name} must be {d}x{d}, got {arr.shape}")
     arr = 0.5 * (arr + arr.T)
     arr.setflags(write=False)
     return arr
@@ -62,7 +58,7 @@ def doust_correlation(x) -> np.ndarray:
     is one followed by the cumulative products of x itself.  The result
     tau tau^T is a correlation matrix for any x in [-1, 1]^{d-1}.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(finite(x, "correlation parameters"))
     if x.ndim != 1:
         raise ValueError("parameter vector must be one-dimensional")
     if x.size and np.max(np.abs(x)) > 1.0:
@@ -72,10 +68,7 @@ def doust_correlation(x) -> np.ndarray:
     for k in range(d):
         scale = 1.0 if k == 0 else math.sqrt(1.0 - x[k - 1] ** 2)
         tau[k:, k] = np.cumprod(np.concatenate(([scale], x[k:])))
-    rho = tau @ tau.T
-    rho = 0.5 * (rho + rho.T)
-    rho.setflags(write=False)
-    return rho
+    return _frozen_matrix(tau @ tau.T, "correlation", d)
 
 
 def omega(theta: float, sigma: float, nu: float) -> float:
@@ -110,7 +103,9 @@ class BlackScholesBasket:
         object.__setattr__(self, "c", _frozen_vector(self.c, "c", positive=True))
         if self.sigma.size != d or self.c.size != d:
             raise ValueError("S0, sigma and c must share one length")
-        object.__setattr__(self, "rho", _frozen_correlation(self.rho, d))
+        object.__setattr__(self, "rho", _frozen_matrix(self.rho, "correlation", d))
+        if np.max(np.abs(np.diag(self.rho) - 1.0)) > 1e-12:
+            raise ValueError("correlation diagonal must be one")
         if not 0.0 < self.K < math.inf:
             raise ValueError(f"strike {self.K} must be positive and finite")
         if not 0.0 < self.T < math.inf:
@@ -167,14 +162,9 @@ class EffectiveProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _frozen_vector(self.w, "w", positive=True))
-        sig = np.asarray(self.Sigma, dtype=float)
-        if sig.shape != (self.w.size, self.w.size):
-            raise ValueError("Sigma shape does not match w")
-        if np.max(np.abs(sig - sig.T)) > 1e-12 * max(np.max(np.abs(sig)), 1e-300):
-            raise ValueError("Sigma is not symmetric")
-        sig = 0.5 * (sig + sig.T)
-        sig.setflags(write=False)
-        object.__setattr__(self, "Sigma", sig)
+        object.__setattr__(self, "Sigma", _frozen_matrix(self.Sigma, "Sigma", self.w.size))
+        if not math.isfinite(self.K):
+            raise ValueError(f"strike {self.K} must be finite")
 
     @property
     def d(self) -> int:
@@ -200,15 +190,13 @@ def vg_base_matrix(model: VarianceGammaBasket) -> np.ndarray:
     smoothing decomposition can be computed once and rescaled.
     """
     base = np.outer(model.sigma, model.sigma) * model.rho
-    base = 0.5 * (base + base.T)
-    base.setflags(write=False)
-    return base
+    return _frozen_matrix(base, "base covariance", model.d)
 
 
 def effective_vg(model: VarianceGammaBasket, y: float) -> EffectiveProblem:
     """Conditional effective problem given the time change value y."""
-    if not y > 0.0:
-        raise ValueError(f"time change value {y} must be positive")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"time change value {y} must be positive and finite")
     w = (
         model.c
         * model.S0
@@ -257,8 +245,8 @@ def random_vg_instance(
     dedicated stream.
     """
     lo, hi = float(theta_range[0]), float(theta_range[1])
-    if not lo <= hi:
-        raise ValueError(f"empty skew range ({lo}, {hi})")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"skew range ({lo}, {hi}) must be finite and ordered")
     bs = random_instance(d, seed, strike_mode)
     gen = RngSpec(base_seed=seed, stream_id=_THETA_STREAM).generator()
     theta = gen.uniform(lo, hi, d)

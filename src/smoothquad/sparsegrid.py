@@ -384,8 +384,8 @@ def adaptive_quadrature(
     (value, eta, state)
         ``state.status`` is ``"ok"`` or ``"saturated"``.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance {tol} must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance {tol} must be positive and finite")
     if max_evals < 1:
         raise ValueError(f"max_evals {max_evals} must be at least 1")
     seqs = _seq_list(seqs, d)

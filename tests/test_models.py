@@ -138,6 +138,22 @@ class TestBlackScholesBasket:
             m.S0[0] = 5.0
 
 
+def test_construction_leaves_the_callers_arrays_alone():
+    # each model holds its own read-only copy; the caller's arrays stay writeable
+    vg = {k: np.array(v, dtype=float) for k, v in BS_OK.items() if k != "K"}
+    vg["theta"] = np.array([-0.1, 0.0])
+    eff = {"w": np.array([0.5, 0.5]), "Sigma": np.array([[0.04, 0.01], [0.01, 0.04]])}
+    for model, arrays in [
+        (models.VarianceGammaBasket(**vg, K=11.0, nu=0.3), vg),
+        (models.EffectiveProblem(**eff, K=11.0), eff),
+    ]:
+        for name, arr in arrays.items():
+            held = getattr(model, name).copy()
+            assert arr.flags.writeable, name
+            arr += 1.0
+            np.testing.assert_array_equal(getattr(model, name), held)
+
+
 class TestEffectiveBlackScholes:
     def test_independent_pair_closed_form(self):
         m = models.BlackScholesBasket(
