@@ -10,6 +10,7 @@ seconds column; a row that fails records its error as its status.
 """
 
 import argparse
+import collections
 import csv
 import functools
 import math
@@ -204,20 +205,58 @@ def build_instance(cfg: ExperimentConfig):
     )
 
 
-def _settle(run):
-    """State of ``run()``, which returns (value, state), or the partial state of a budget stop.
+# what a row and the reference record read of an adaptive state
+_Mark = collections.namedtuple("_Mark", "value status tol eta evaluations distinct_points")
 
-    Any error other than BudgetExhausted propagates.
+
+def _checkpoints(run, tols, trace):
+    """Reader of one adaptive run at each tolerance of ``tols``.
+
+    ``run(tol, trace=hook)`` returns (value, state) as
+    :func:`pricing.price_asg` does.  It runs once, on the first read,
+    at the smallest of ``tols``.  The loop is deterministic and a run at
+    tolerance t stops after the first round whose ``eta`` is at most t,
+    so ``hook`` takes t's checkpoint there; a tolerance never reached
+    gets the run's final state, or its error, as its own run would.
+    ``at(tol)`` returns the checkpoint and its seconds from the run's
+    start, or raises the error.
     """
-    try:
-        return run()[1]
-    except BudgetExhausted as exc:
-        return exc.state
+
+    @functools.cache
+    def marks():
+        pending = sorted(set(tols), reverse=True)
+        out = {}
+        start = time.monotonic()
+
+        def snapshot(state):
+            return _Mark(*(getattr(state, f) for f in _Mark._fields)), time.monotonic() - start
+
+        def hook(state, alpha, g):
+            if trace is not None:
+                trace(state, alpha, g)
+            while pending and state.eta <= pending[0]:
+                out[pending.pop(0)] = snapshot(state)
+
+        try:
+            end = snapshot(run(min(tols), trace=hook)[1])
+        except BudgetExhausted as exc:
+            end = snapshot(exc.state)
+        except Exception as exc:  # raised again by each read past it, as by its own run
+            end = exc, None
+        return {**out, **dict.fromkeys(pending, end)}
+
+    def at(tol):
+        state, seconds = marks()[tol]
+        if isinstance(state, Exception):
+            raise state
+        return state._replace(tol=tol), seconds
+
+    return at
 
 
-def _reference(run) -> float:
-    """Value of a reference run, after printing its state as one stdout record."""
-    state = _settle(run)
+def _reference(at, tol) -> float:
+    """Value of the aSG+CS run ``at`` at ``tol``, after printing its state as one stdout record."""
+    state, _ = at(tol)
     print(
         f"reference {state.value!r} status {state.status} tol {state.tol:g} "
         f"eta {state.eta:.3e} evaluations {state.evaluations} "
@@ -226,19 +265,15 @@ def _reference(run) -> float:
     return state.value
 
 
-def _bs_reference(model) -> float:
-    return _reference(lambda: pricing.reference_price(model))
+# one name per model, so that a profiler can time either reference step
+_bs_reference = _vg_reference = _reference
 
 
-def _vg_reference(model, tol_schedule) -> float:
-    return _reference(lambda: pricing.price_vg_smoothed(model, min(tol_schedule) / 100.0))
-
-
-def _reference_of(cfg, model) -> float:
-    """Reference price of the configured instance of either model."""
+def _reference_of(cfg, model):
+    """Reference tolerance of the configured instance, and its model's reference step."""
     if cfg.model == "bs":
-        return _bs_reference(model)
-    return _vg_reference(model, cfg.tol_schedule)
+        return pricing.reference_tolerance(model.d), _bs_reference
+    return min(cfg.tol_schedule) / 100.0, _vg_reference
 
 
 def _trace_writer(enabled):
@@ -258,11 +293,11 @@ def _mc_row(cfg, f):
     return lambda n: pricing.price_mc(f, n, rng)[0]
 
 
-def _bs_methods(cfg, model, trace):
+def _bs_methods(cfg, model):
     """Method table of a ``converge`` sweep.
 
     Each sampling method maps to a pricer of a budget n, each adaptive
-    one to a pricer of a tolerance returning (value, state).
+    one to a run ``run(tol, trace=hook)`` read by :func:`_checkpoints`.
     """
     prob = models.effective_bs(model)
     dec = linalg.rank_one_reduce(prob.Sigma)
@@ -283,9 +318,9 @@ def _bs_methods(cfg, model, trace):
         return price
 
     def asg(f):
-        return functools.partial(pricing.price_asg, f, trace=trace)
+        return functools.partial(pricing.price_asg, f)
 
-    # searched once, in the first aSG+CS2 row, so DimensionTooLarge is that row's status
+    # searched once, in the aSG+CS2 run, so DimensionTooLarge is the status of its rows
     @functools.cache
     def cs2():
         v, _ = linalg.best_binary_v(prob.Sigma)
@@ -298,14 +333,14 @@ def _bs_methods(cfg, model, trace):
         "MC+CS": mc(g_cs),
         "QMC+CS": qmc(g_cs),
         "aSG+CS": asg(g_cs),
-        "aSG+CS2": lambda tol: cs2()(tol),
+        "aSG+CS2": lambda tol, trace: cs2()(tol, trace=trace),
         "MC+CS+CV": with_cv(mc),
         "QMC+CS+CV": with_cv(qmc),
     }
     return table
 
 
-def _vg_methods(cfg, model, trace):
+def _vg_methods(cfg, model):
     """Method table of a ``vg`` sweep, as in :func:`_bs_methods`.
 
     Prints the base covariance's eigenvalues; the first ``aSG+CS2`` row
@@ -316,7 +351,7 @@ def _vg_methods(cfg, model, trace):
     print(f"lambda_sq {lams}")
     f_raw, g_cs = pricing.vg_raw_integrand(model), pricing.vg_smoothed_integrand(model)
     mc = functools.partial(_mc_row, cfg)
-    asg = functools.partial(pricing.price_vg_smoothed, model, trace=trace)
+    asg = functools.partial(pricing.price_vg_smoothed, model)
 
     @functools.cache
     def cs2():
@@ -324,50 +359,55 @@ def _vg_methods(cfg, model, trace):
         print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
         return functools.partial(asg, v=v)
 
-    return {"MC": mc(f_raw), "MC+CS": mc(g_cs), "aSG+CS": asg, "aSG+CS2": lambda tol: cs2()(tol)}
+    table = {"MC": mc(f_raw), "MC+CS": mc(g_cs), "aSG+CS": asg}
+    return {**table, "aSG+CS2": lambda tol, trace: cs2()(tol, trace=trace)}
 
 
-def _row_tasks(cfg, table):
-    """One closure per CSV row, in config order, from a method table.
+def _row_tasks(cfg, table, reference_tol, trace):
+    """One closure per CSV row, in config order, from a method table, and the reference's reader.
 
     A sampling method gives one row per budget, an adaptive one one row
-    per tolerance.
+    per tolerance: the checkpoints of one run, which for aSG+CS is read
+    at ``reference_tol`` too.
     """
     missing = [m for m in cfg.methods if m not in table]
     if missing:
         raise ConfigInvalid(
             f"method {missing[0]} is not available for {cfg.model} runs; allowed: {list(table)}"
         )
+    tols = {m: list(cfg.tol_schedule) for m in cfg.methods if m not in SAMPLING_METHODS}
+    tols.setdefault("aSG+CS", []).append(reference_tol)
+    reads = {m: _checkpoints(table[m], ts, trace) for m, ts in tols.items()}
     tasks = []
     for method in cfg.methods:
         xs = cfg.budgets if method in SAMPLING_METHODS else cfg.tol_schedule
-        tasks.extend(_task(method, table[method], x) for x in xs)
-    return tasks
+        tasks.extend(_task(method, reads.get(method, table[method]), x) for x in xs)
+    return tasks, reads["aSG+CS"]
 
 
 def _task(method, price, x):
     """Row closure pricing at ``x``: a budget for a sampling method, a tolerance otherwise.
 
-    A sampling row counts its budget.  An adaptive ``price(tol)``
-    returns (value, state), read by :func:`_settle`, and its row counts
-    the run's evaluations.  A row that raises gets its error as its
-    status and no estimate; an adaptive one then counts 0.
+    A sampling row counts its budget.  An adaptive ``price(tol)`` is a
+    :func:`_checkpoints` reader, and its row counts the run's evaluations
+    and seconds up to the checkpoint.  A row that raises gets its error
+    as its status and no estimate; an adaptive one then counts 0.
     """
     sampling = method in SAMPLING_METHODS
 
     def run(ref):
         start = time.monotonic()
-        n = x if sampling else 0
+        n, seconds = (x if sampling else 0), None
         try:
             if sampling:
                 value, status = price(x), "ok"
             else:
-                state = _settle(lambda: price(x))
+                state, seconds = price(x)
                 value, n, status = state.value, state.evaluations, state.status
             rel = abs(value / ref - 1.0) if ref else None
         except SmoothQuadError as exc:
             value, rel, status = math.nan, None, type(exc).__name__
-        seconds = time.monotonic() - start
+        seconds = time.monotonic() - start if seconds is None else seconds
         return pricing.EstimateRecord(method, n, value, rel, seconds, status=status)
 
     return run
@@ -403,19 +443,20 @@ def _run_tasks(tasks, ref):
     return [task(ref) for task in tasks]
 
 
-def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods) -> str:
+def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, trace) -> str:
     """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
-    ``methods(model)`` returns the method table; the rows are measured
-    against :func:`_reference_of`.
+    ``methods(cfg, model)`` returns the method table; the rows are
+    measured against the reference, a checkpoint of the aSG+CS run.
     """
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
     model = build_instance(cfg)
     if cfg.model != kind:
         raise ConfigInvalid(wrong_model)
-    tasks = _row_tasks(cfg, methods(model))
-    ref = _reference_of(cfg, model)
+    tol, reference = _reference_of(cfg, model)
+    tasks, at = _row_tasks(cfg, methods(cfg, model), tol, trace)
+    ref = reference(at, tol)
     records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")
     out.write_text(_records_to_csv(records), encoding="utf-8")
@@ -426,13 +467,13 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods) -> str:
 def run_convergence(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Black-Scholes sweep and write the CSV."""
     wrong = "converge expects a bs model; use the vg verb instead"
-    return _sweep(cfg, "bs", wrong, lambda m: _bs_methods(cfg, m, trace))
+    return _sweep(cfg, "bs", wrong, _bs_methods, trace)
 
 
 def run_vg(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Variance-Gamma sweep and write the CSV."""
     wrong = "vg expects a vg model or an example"
-    return _sweep(cfg, "vg", wrong, lambda m: _vg_methods(cfg, m, trace))
+    return _sweep(cfg, "vg", wrong, _vg_methods, trace)
 
 
 def report_decomposition(cfg: ExperimentConfig) -> str:
@@ -455,7 +496,12 @@ def report_decomposition(cfg: ExperimentConfig) -> str:
 def price_instance(cfg: ExperimentConfig) -> str:
     """Reference price and basic facts for the configured instance."""
     model = build_instance(cfg)
-    ref = _reference_of(cfg, model)
+    if cfg.model == "bs":
+        run = _bs_methods(cfg, model)["aSG+CS"]
+    else:
+        run = functools.partial(pricing.price_vg_smoothed, model)
+    tol, reference = _reference_of(cfg, model)
+    ref = reference(_checkpoints(run, [tol], None), tol)
     lines = [
         f"model {cfg.model} d {model.d}",
         f"forward {model.forward()!r}",

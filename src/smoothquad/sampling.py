@@ -107,10 +107,14 @@ class SobolStream:
             ctz = np.log2((idx & -idx).astype(np.float64)).astype(np.intp)
             # every index is in range; "clip" writes straight into ints, "raise" copies
             np.take(self._v, ctz, axis=0, out=ints[1:], mode="clip")
+            del idx, ctz  # freed before the conversion, whose pieces then set the peak
             np.bitwise_xor.accumulate(ints, axis=0, out=ints)
         self.next_index += n
-        # every row of ints is rebuilt on each call, so the floats can take its place
-        return np.multiply(ints, _SCALE, out=ints.view(np.float64))
+        # every row of ints is rebuilt on each call, so the floats can take its place, in
+        # pieces of 1,024 rows: numpy copies an input that overlaps an output of another dtype
+        for piece in np.split(ints, range(1024, n, 1024)):
+            np.multiply(piece, _SCALE, out=piece.view(np.float64))
+        return ints.view(np.float64)
 
 
 def inv_norm_cdf(p, out=None):

@@ -386,8 +386,8 @@ def adaptive_quadrature(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance {tol} must be positive and finite")
-    if max_evals < 1:
-        raise ValueError(f"max_evals {max_evals} must be at least 1")
+    if not 1 <= max_evals < math.inf:
+        raise ValueError(f"max_evals {max_evals} must be at least 1 and finite")
     seqs = _seq_list(seqs, d)
     # the highest level of each coordinate whose rule fits the order cap
     top = [next(lv for lv in itertools.count() if seq.size(lv + 1) > MAX_ORDER) for seq in seqs]

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import smoothquad
 from smoothquad import cli, linalg, models, pricing
-from smoothquad.errors import BudgetExhausted, ConfigInvalid
+from smoothquad.errors import BudgetExhausted, ConfigInvalid, NonFiniteIntegrand
 from smoothquad.sampling import RngSpec
 from smoothquad.sparsegrid import AdaptiveState
 
@@ -218,7 +219,7 @@ class TestConvergeVerb:
         assert exc.value.code == 2
 
     def test_binary_search_above_its_cap_is_a_row_status(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
         conf = write_config(
             tmp_path / "d26.conf",
             "model = bs\nd = 26\nseed = 3\nmethods = QMC+CS\nmethods = aSG+CS2\n"
@@ -237,7 +238,7 @@ class TestConvergeVerb:
         assert rows[1][1:3] == ["0", ""]
 
     def test_control_variate_built_once_per_sweep(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
         builds = []
         build = pricing.interpolant_total_degree
 
@@ -274,7 +275,7 @@ class TestConvergeVerb:
                 assert float(estimate) == pricing.price_cv(g, int(n), mode="qmc")
 
     def test_budget_stop_is_a_row_status(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_bs_reference", lambda model: 2.0)
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 2.0)
         state = AdaptiveState(
             dim=1, value=2.5, eta=1e-3, evaluations=4321, status="BudgetExhausted"
         )
@@ -293,7 +294,7 @@ class TestConvergeVerb:
 
     def test_adaptive_row_at_the_rule_cap_is_saturated(self, tmp_path, monkeypatch):
         # raw aSG on this instance would admit a Gauss-Hermite rule above the order cap
-        monkeypatch.setattr(cli, "_bs_reference", lambda model: 1.0)
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
         conf = write_config(
             tmp_path / "e.conf",
             "model = bs\nd = 8\nseed = 208\nmethods = aSG\nmethods = MC\n"
@@ -381,7 +382,7 @@ class TestVgVerb:
         assert searches == []
 
     def test_sampling_rows_are_medians_of_streams(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
+        monkeypatch.setattr(cli, "_vg_reference", lambda *args: 1.0)
         conf = write_config(
             tmp_path / "vg.conf",
             "model = vg\nd = 3\nseed = 5\nmethods = MC\nmethods = MC+CS\n"
@@ -405,7 +406,7 @@ class TestVgVerb:
             assert float(estimate) == float(np.median(runs))
 
     def test_sampling_rows_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
+        monkeypatch.setattr(cli, "_vg_reference", lambda *args: 1.0)
         conf = write_config(
             tmp_path / "vg.conf",
             "model = vg\nd = 3\nseed = 5\nmethods = MC\nmethods = MC+CS\nbudgets = 8200\n",
@@ -436,7 +437,7 @@ class TestVgVerb:
     def test_binary_search_only_for_cs2_rows(
         self, tmp_path, monkeypatch, capsys, methods, statuses
     ):
-        monkeypatch.setattr(cli, "_vg_reference", lambda model, tols: 1.0)
+        monkeypatch.setattr(cli, "_vg_reference", lambda *args: 1.0)
         text = "model = vg\nd = 26\nseed = 1\nbudgets = 18\ntol_schedule = 1e-1\n"
         text += "".join(f"methods = {m}\n" for m in methods)
         conf = write_config(tmp_path / "vg26.conf", text)
@@ -470,7 +471,7 @@ class TestReferenceBudget:
 
     VALUE = 0.123456789
     CONFIGS = {
-        "converge": (BS2_SWEEP, "reference_price"),
+        "converge": (BS2_SWEEP, "price_asg"),
         "vg": (
             "model = vg\nd = 2\nseed = 5\nmethods = MC+CS\nbudgets = 18\n"
             "tol_schedule = 1e-2\n",
@@ -495,10 +496,20 @@ class TestReferenceBudget:
                 dim=2, tol=tol, value=self.VALUE, eta=3.5e-6, evaluations=4321, status=status
             )
 
+        asg = pricing.price_asg
+
+        def rows(model, trace=None, **kwargs):
+            # converge's aSG+CS rows are checkpoints of the reference's run:
+            # they pass as a real run to 1e-3 would, before the stubbed end
+            if verb == "converge":
+                asg(model, 1e-3, trace=trace)
+
         def converged(model, tol=pricing.reference_tolerance(2), **kwargs):
+            rows(model, **kwargs)
             return self.VALUE, state(tol, "ok")
 
         def exhausted(model, tol=pricing.reference_tolerance(2), **kwargs):
+            rows(model, **kwargs)
             raise BudgetExhausted(
                 "4321 evaluations exceed budget 4000", state=state(tol, "BudgetExhausted")
             )
@@ -516,6 +527,140 @@ class TestReferenceBudget:
         )
         assert out == out_ok.replace(record.format("ok"), record.format("BudgetExhausted"))
         assert record.format("BudgetExhausted") in out
+
+
+def own_run(price, tol):
+    """End state of ``price(tol)`` run on its own, from the root."""
+    try:
+        return price(tol)[1]
+    except BudgetExhausted as exc:
+        return exc.state
+
+
+def reference_record(state):
+    return (
+        f"reference {state.value!r} status {state.status} tol {state.tol:g} "
+        f"eta {state.eta:.3e} evaluations {state.evaluations} "
+        f"distinct_points {state.distinct_points}"
+    )
+
+
+class TestSharedRuns:
+    """Each adaptive method's rows, and the reference, are checkpoints of
+    one run; each must equal the same run made on its own at its tolerance."""
+
+    def sweep(self, tmp_path, capsys, verb, text, *flags):
+        conf = write_config(tmp_path / "s.conf", text)
+        assert cli.main([verb, "--config", conf, "--out", str(tmp_path / "s"), *flags]) == 0
+        lines = (tmp_path / "s.csv").read_text(encoding="utf-8").strip().splitlines()
+        return [row.split(",") for row in lines[1:]], capsys.readouterr()
+
+    def assert_rows_equal_own_runs(self, rows, pricers, tols):
+        assert [r[0] for r in rows] == [m for m in pricers for _ in tols]
+        for (method, n, estimate, _, _, status), tol in zip(rows, tols * len(pricers)):
+            state = own_run(pricers[method], tol)
+            assert (int(n), float(estimate), status) == (
+                state.evaluations, state.value, state.status
+            )
+
+    def test_converge_rows_and_reference(self, tmp_path, capsys):
+        # 1e-12 lies below the reference's 1e-11, and raw aSG saturates
+        tols = [1e-2, 1e-5, 1e-12]
+        text = "model = bs\nd = 3\nseed = 11\nmethods = aSG\nmethods = aSG+CS\n"
+        text += "methods = aSG+CS2\n" + "".join(f"tol_schedule = {t!r}\n" for t in tols)
+        rows, captured = self.sweep(tmp_path, capsys, "converge", text)
+        model = models.random_instance(3, 11)
+        prob = models.effective_bs(model)
+        v, _ = linalg.best_binary_v(prob.Sigma)
+        integrands = {
+            "aSG": pricing.raw_integrand(prob, linalg.rank_one_reduce(prob.Sigma)),
+            "aSG+CS": pricing.smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma)),
+            "aSG+CS2": pricing.smoothed_integrand_v(
+                prob, v, linalg.rank_one_reduce(prob.Sigma, v)
+            ),
+        }
+        pricers = {m: functools.partial(pricing.price_asg, g) for m, g in integrands.items()}
+        self.assert_rows_equal_own_runs(rows, pricers, tols)
+        assert {r[-1] for r in rows[:3]} == {"saturated"}
+        reference = pricing.reference_price(model)[1]
+        assert reference_record(reference) in captured.out.splitlines()
+
+    def test_vg_rows_and_reference(self, tmp_path, capsys):
+        tols = [1e-2, 1e-3]
+        text = "example = ls15_modified\nmethods = aSG+CS\nmethods = aSG+CS2\n"
+        text += "".join(f"tol_schedule = {t!r}\n" for t in tols)
+        rows, captured = self.sweep(tmp_path, capsys, "vg", text)
+        model = models.vg_example(modified=True)
+        v, _ = linalg.best_binary_v(models.vg_base_matrix(model))
+        pricers = {
+            "aSG+CS": functools.partial(pricing.price_vg_smoothed, model),
+            "aSG+CS2": functools.partial(pricing.price_vg_smoothed, model, v=v),
+        }
+        self.assert_rows_equal_own_runs(rows, pricers, tols)
+        reference = own_run(pricers["aSG+CS"], 1e-5)
+        assert reference_record(reference) in captured.out.splitlines()
+
+    def test_saturated_rows(self, tmp_path, capsys, monkeypatch):
+        # the d = 25 reference alone takes seconds; only the CS2 run is compared
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
+        text = "model = bs\nd = 25\nseed = 2\nmethods = aSG+CS2\n"
+        text += "tol_schedule = 1e-2\ntol_schedule = 1e-3\n"
+        rows, _ = self.sweep(tmp_path, capsys, "converge", text)
+        prob = models.effective_bs(models.random_instance(25, 2))
+        v, _ = linalg.best_binary_v(prob.Sigma)
+        g = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
+        pricers = {"aSG+CS2": functools.partial(pricing.price_asg, g)}
+        self.assert_rows_equal_own_runs(rows, pricers, [1e-2, 1e-3])
+        assert [r[-1] for r in rows] == ["ok", "saturated"]
+
+    def test_budget_stop(self):
+        prob = models.effective_bs(models.random_instance(3, 1))
+        g = pricing.smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))
+        price = functools.partial(pricing.price_asg, g, max_evals=100)
+        tols = [1e-2, 1e-4, 1e-8, 1e-10]
+        at = cli._checkpoints(price, tols, None)
+        statuses = []
+        for tol in tols:
+            mark, _ = at(tol)
+            state = own_run(price, tol)
+            assert mark == tuple(getattr(state, f) for f in mark._fields)
+            statuses.append(mark.status)
+        assert statuses == ["ok", "ok", "BudgetExhausted", "BudgetExhausted"]
+
+    def test_error_after_a_checkpoint(self):
+        # nan at the Genz-Keister nodes past level 2 (|x| > 4.2), first needed below 1e-6
+        prob = models.effective_bs(models.random_instance(3, 1))
+        g = pricing.smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))
+
+        def func(points):
+            return np.where(np.abs(points).max(axis=1) > 4.2, np.nan, g(points))
+
+        price = functools.partial(pricing.price_asg, pricing.Integrand(g.dim, func, "nan"))
+        at = cli._checkpoints(price, [1e-2, 1e-8], None)
+        mark, _ = at(1e-2)
+        state = own_run(price, 1e-2)
+        assert mark == tuple(getattr(state, f) for f in mark._fields)
+        for _ in range(2):
+            with pytest.raises(NonFiniteIntegrand):
+                at(1e-8)
+        with pytest.raises(NonFiniteIntegrand):
+            price(1e-8)
+
+    def test_trace_writes_each_run_once(self, tmp_path, capsys):
+        text = "model = bs\nd = 3\nseed = 11\nmethods = aSG+CS\nmethods = aSG+CS2\n"
+        text += "tol_schedule = 1e-2\ntol_schedule = 1e-4\n"
+        _, captured = self.sweep(tmp_path, capsys, "converge", text, "--trace")
+        prob = models.effective_bs(models.random_instance(3, 11))
+        v, _ = linalg.best_binary_v(prob.Sigma)
+        write = cli._trace_writer(True)
+        # the aSG+CS run goes on to the reference's tolerance, 1e-11
+        g = pricing.smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))
+        pricing.price_asg(g, 1e-11, trace=write)
+        g = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
+        pricing.price_asg(g, 1e-4, trace=write)
+        expected = capsys.readouterr().err
+        assert expected.count("\n") > 10
+        assert captured.err == expected
 
 
 class TestDecompVerb:

@@ -39,7 +39,16 @@ ENTRIES = [
     ),
     (pricing.bs_call, dict(s0=1.0, k=1.0, sigma=0.2), ["s0", "k", "sigma"]),
     (sampling.inv_norm_cdf, dict(p=[0.3, 0.5]), ["p"]),
-    (pricing.price_asg, dict(integrand=pricing.smoothed_integrand(PROB, DEC), tol=1e-3), ["tol"]),
+    (
+        pricing.price_asg,
+        dict(integrand=pricing.smoothed_integrand(PROB, DEC), tol=1e-3, max_evals=10**7),
+        ["tol", "max_evals"],
+    ),
+    (
+        pricing.reference_price,
+        dict(model=models.random_instance(2, 9), max_evals=10**7),
+        ["max_evals"],
+    ),
     (pricing.price_vg_smoothed, dict(model=VG_MODEL, tol=1e-2, v=[1.0, 1.0]), ["tol", "v"]),
     (pricing.smoothed_integrand_v, dict(prob=PROB, v=[1.0, 1.0], dec=DEC), ["v"]),
     (pricing.vg_smoothed_integrand, dict(model=VG_MODEL, v=[1.0, 1.0]), ["v"]),
@@ -80,7 +89,7 @@ def test_every_public_entry_is_covered():
         "BudgetExhausted", "ConfigInvalid", "Integrand", "OrderOutOfRange", "OutOfDomain",
         "RngSpec", "SmoothQuadError", "SobolStream", "effective_bs", "price_cv",
         "price_mc", "price_qmc", "price_vg_mc", "random_instance", "raw_integrand",
-        "reference_price", "smoothed_integrand", "vg_base_matrix", "vg_example",
+        "smoothed_integrand", "vg_base_matrix", "vg_example",
         "vg_raw_integrand", "__version__",
     }
     assert covered | untouched == set(smoothquad.__all__) | {"doust_correlation", "EffectiveProblem"}
