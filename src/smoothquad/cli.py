@@ -293,16 +293,31 @@ def _mc_row(cfg, f):
     return lambda n: pricing.price_mc(f, n, rng)[0]
 
 
-def _bs_methods(cfg, model):
-    """Method table of a ``converge`` sweep.
+def _methods(cfg, model):
+    """Method table of a ``converge`` or ``vg`` sweep.
 
     Each sampling method maps to a pricer of a budget n, each adaptive
     one to a run ``run(tol, trace=hook)`` read by :func:`_checkpoints`.
+    The model sets the integrands and the covariance aSG+CS2 searches; a
+    ``vg`` sweep keeps four methods, prints the base covariance's
+    eigenvalues, and its first aSG+CS2 row prints the direction found.
     """
-    prob = models.effective_bs(model)
-    dec = linalg.rank_one_reduce(prob.Sigma)
-    f_raw = pricing.raw_integrand(prob, dec)
-    g_cs = pricing.smoothed_integrand(prob, dec)
+    vg = cfg.model == "vg"
+    if vg:
+        sigma = models.vg_base_matrix(model)
+        lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(sigma).lambda_sq)
+        print(f"lambda_sq {lams}")
+        f_raw, g_cs = pricing.vg_raw_integrand(model), pricing.vg_smoothed_integrand(model)
+        along = functools.partial(pricing.vg_smoothed_integrand, model)
+    else:
+        prob = models.effective_bs(model)
+        sigma = prob.Sigma
+        dec = linalg.rank_one_reduce(sigma)
+        f_raw, g_cs = pricing.raw_integrand(prob, dec), pricing.smoothed_integrand(prob, dec)
+
+        def along(v):
+            return pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(sigma, v))
+
     mc = functools.partial(_mc_row, cfg)
     # built once, in the first control-variate row, so a failure is that row's status
     control_variate = functools.cache(lambda: pricing.control_variate(g_cs))
@@ -323,8 +338,10 @@ def _bs_methods(cfg, model):
     # searched once, in the aSG+CS2 run, so DimensionTooLarge is the status of its rows
     @functools.cache
     def cs2():
-        v, _ = linalg.best_binary_v(prob.Sigma)
-        return asg(pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v)))
+        v, lam1_sq = linalg.best_binary_v(sigma)
+        if vg:
+            print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
+        return asg(along(v))
 
     table = {
         "MC": mc(f_raw),
@@ -337,30 +354,7 @@ def _bs_methods(cfg, model):
         "MC+CS+CV": with_cv(mc),
         "QMC+CS+CV": with_cv(qmc),
     }
-    return table
-
-
-def _vg_methods(cfg, model):
-    """Method table of a ``vg`` sweep, as in :func:`_bs_methods`.
-
-    Prints the base covariance's eigenvalues; the first ``aSG+CS2`` row
-    prints the direction it found.
-    """
-    base = models.vg_base_matrix(model)
-    lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(base).lambda_sq)
-    print(f"lambda_sq {lams}")
-    f_raw, g_cs = pricing.vg_raw_integrand(model), pricing.vg_smoothed_integrand(model)
-    mc = functools.partial(_mc_row, cfg)
-    asg = functools.partial(pricing.price_vg_smoothed, model)
-
-    @functools.cache
-    def cs2():
-        v, lam1_sq = linalg.best_binary_v(base)
-        print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
-        return functools.partial(asg, v=v)
-
-    table = {"MC": mc(f_raw), "MC+CS": mc(g_cs), "aSG+CS": asg}
-    return {**table, "aSG+CS2": lambda tol, trace: cs2()(tol, trace=trace)}
+    return {m: table[m] for m in ("MC", "MC+CS", "aSG+CS", "aSG+CS2")} if vg else table
 
 
 def _row_tasks(cfg, table, reference_tol, trace):
@@ -443,11 +437,11 @@ def _run_tasks(tasks, ref):
     return [task(ref) for task in tasks]
 
 
-def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, trace) -> str:
+def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, trace) -> str:
     """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
-    ``methods(cfg, model)`` returns the method table; the rows are
-    measured against the reference, a checkpoint of the aSG+CS run.
+    The rows of :func:`_methods`' table are measured against the
+    reference, a checkpoint of the aSG+CS run.
     """
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
@@ -455,7 +449,7 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, trace) -
     if cfg.model != kind:
         raise ConfigInvalid(wrong_model)
     tol, reference = _reference_of(cfg, model)
-    tasks, at = _row_tasks(cfg, methods(cfg, model), tol, trace)
+    tasks, at = _row_tasks(cfg, _methods(cfg, model), tol, trace)
     ref = reference(at, tol)
     records = _run_tasks(tasks, ref)
     out = Path(f"{cfg.output}.csv")
@@ -467,13 +461,13 @@ def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, methods, trace) -
 def run_convergence(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Black-Scholes sweep and write the CSV."""
     wrong = "converge expects a bs model; use the vg verb instead"
-    return _sweep(cfg, "bs", wrong, _bs_methods, trace)
+    return _sweep(cfg, "bs", wrong, trace)
 
 
 def run_vg(cfg: ExperimentConfig, trace=None) -> str:
     """Run the configured Variance-Gamma sweep and write the CSV."""
     wrong = "vg expects a vg model or an example"
-    return _sweep(cfg, "vg", wrong, _vg_methods, trace)
+    return _sweep(cfg, "vg", wrong, trace)
 
 
 def report_decomposition(cfg: ExperimentConfig) -> str:
@@ -497,7 +491,7 @@ def price_instance(cfg: ExperimentConfig) -> str:
     """Reference price and basic facts for the configured instance."""
     model = build_instance(cfg)
     if cfg.model == "bs":
-        run = _bs_methods(cfg, model)["aSG+CS"]
+        run = _methods(cfg, model)["aSG+CS"]
     else:
         run = functools.partial(pricing.price_vg_smoothed, model)
     tol, reference = _reference_of(cfg, model)

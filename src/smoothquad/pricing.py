@@ -6,9 +6,10 @@ a smooth integrand (the Black-Scholes formula evaluated along the
 remaining factors), which Monte Carlo, quasi-Monte Carlo, adaptive
 sparse grids and an interpolation control variate then integrate.  The
 Variance-Gamma variants add the Gamma variable u of the time change
-y = nu u, handled by generalized Gauss-Laguerre differences.  Every
-smoothed builder maps its points to an exponent and shares one
-conditional-call kernel; Black-Scholes is the case y = 1, theta = 0.
+y = nu u, handled by generalized Gauss-Laguerre differences; an
+integrand carries its sampler and rules.  Every smoothed builder maps
+its points to an exponent and shares one conditional-call kernel;
+Black-Scholes is the case y = 1, theta = 0.
 """
 
 import contextlib
@@ -29,7 +30,7 @@ from . import linalg
 from .errors import OutOfDomain
 from .models import BlackScholesBasket, EffectiveProblem, VarianceGammaBasket
 from .models import effective_bs, vg_base_matrix
-from .rules1d import genz_keister_sequence, laguerre_sequence
+from .rules1d import RuleSequence, genz_keister_sequence, laguerre_sequence
 from .sampling import RngSpec, SobolStream, inv_norm_cdf
 from .sparsegrid import (
     DEFAULT_MAX_EVALS,
@@ -70,13 +71,16 @@ class Integrand:
 
     ``func`` maps an (n, dim) array of points to n values; payoff
     integrands are nonnegative by construction.  ``sampler(gen, n, dim)``
-    builds the Monte Carlo sampler of the points: standard normals by default.
+    builds the Monte Carlo sampler of the points, and ``seqs`` holds the
+    rule sequences of :func:`price_asg`, one for every coordinate or a
+    tuple of one per coordinate: standard normals and Genz-Keister by default.
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     label: str
     sampler: Callable = _normal_sampler
+    seqs: RuleSequence | tuple = genz_keister_sequence()
 
     def __call__(self, points):
         return self.func(points)
@@ -459,23 +463,15 @@ def price_qmc(integrand: Integrand, n: int) -> float:
 
 
 def price_asg(
-    integrand: Integrand,
-    tol: float,
-    seqs=None,
-    max_evals: int = DEFAULT_MAX_EVALS,
-    trace=None,
+    integrand: Integrand, tol: float, max_evals: int = DEFAULT_MAX_EVALS, trace=None
 ):
-    """Adaptive sparse-grid price; returns the estimate and the state.
+    """Adaptive sparse-grid price over ``integrand.seqs``; returns the estimate and the state.
 
-    Defaults to the nested Genz-Keister sequence in every dimension,
-    which keeps the distinct-point count low on smooth integrands.
     ``state.status`` is ``"ok"``, or ``"saturated"`` if the run stopped
     at the rule-order cap; past ``max_evals`` it raises BudgetExhausted.
     """
-    if seqs is None:
-        seqs = genz_keister_sequence()
     value, _, state = adaptive_quadrature(
-        integrand, integrand.dim, tol, seqs, max_evals=max_evals, trace=trace
+        integrand, integrand.dim, tol, integrand.seqs, max_evals=max_evals, trace=trace
     )
     return value, state
 
@@ -530,12 +526,22 @@ def _vg_forward_weights(model):
     return w, math.exp(-model.r * model.T)
 
 
+def _vg_law(model, dim):
+    """Sampler and rule sequences of ``dim``-column (u, z) points, u ~ Gamma(T/nu, 1).
+
+    The Gamma density is the generalized Laguerre weight with alpha = T/nu - 1.
+    """
+    shape = model.T / model.nu
+    seqs = (laguerre_sequence(shape - 1.0),) + (genz_keister_sequence(),) * (dim - 1)
+    return functools.partial(_vg_sampler, shape), seqs
+
+
 def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
     """Smoothed Variance-Gamma integrand over (u, zbar).
 
     The first coordinate is the standard Gamma(T/nu, 1) variable u of
     the time change y = nu u; the rest are the non-smoothing Gaussian
-    factors, and ``sampler`` draws both.  Given y it is the
+    factors; ``sampler`` and ``seqs`` carry both laws.  Given y it is the
     Black-Scholes conditional call with exponent theta y + sqrt(y) zbar L^T,
     growth e^{y lambda1^2/2} and volatility sqrt(y) lambda1, discounted,
     where L and lambda1 come from the time-free base covariance
@@ -564,7 +570,7 @@ def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
         return disc * _conditional_call(tilt, w_sel, w_rest, K, growth, root * lam1)
 
     label = "VG-CS" if v is None else "VG-CS2"
-    return Integrand(model.d, func, label, functools.partial(_vg_sampler, model.T / nu))
+    return Integrand(model.d, func, label, *_vg_law(model, model.d))
 
 
 def vg_raw_integrand(model: VarianceGammaBasket) -> Integrand:
@@ -584,22 +590,16 @@ def vg_raw_integrand(model: VarianceGammaBasket) -> Integrand:
         x += theta * y[:, None]
         return disc * _payoff(x, w, K)
 
-    return Integrand(model.d + 1, func, "VG-raw", functools.partial(_vg_sampler, model.T / nu))
+    return Integrand(model.d + 1, func, "VG-raw", *_vg_law(model, model.d + 1))
 
 
 def price_vg_smoothed(model: VarianceGammaBasket, tol: float, v=None, trace=None):
-    """Adaptive sparse-grid price of a Variance-Gamma basket.
+    """Adaptive sparse-grid price of a Variance-Gamma basket at the default budget.
 
-    The integrand's first coordinate u = y / nu has the Gamma(T/nu, 1)
-    density, which is the generalized Gauss-Laguerre weight with
-    alpha = T/nu - 1, so Laguerre differences integrate it; the
-    Gaussian factors use the Genz-Keister sequence.  Returns the
-    estimate and the adaptive state, as :func:`price_asg` does.
+    :func:`price_asg` on :func:`vg_smoothed_integrand`, Laguerre rules in
+    the Gamma variable; returns the estimate and the adaptive state.
     """
-    g = vg_smoothed_integrand(model, v=v)
-    alpha = model.T / model.nu - 1.0
-    seqs = [laguerre_sequence(alpha)] + [genz_keister_sequence()] * (model.d - 1)
-    return price_asg(g, tol, seqs=seqs, trace=trace)
+    return price_asg(vg_smoothed_integrand(model, v), tol, trace=trace)
 
 
 def price_vg_mc(

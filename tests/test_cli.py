@@ -475,7 +475,7 @@ class TestReferenceBudget:
         "vg": (
             "model = vg\nd = 2\nseed = 5\nmethods = MC+CS\nbudgets = 18\n"
             "tol_schedule = 1e-2\n",
-            "price_vg_smoothed",
+            "price_asg",
         ),
     }
 
@@ -820,3 +820,44 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0
         assert "0.00023 / 0.03432 / 0.00652" in result.stdout
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the method tables and the checkpoint maps are dicts; their order
+        # must come from the config, not from string hashing
+        sweeps = {
+            "converge": "model = bs\nd = 3\nseed = 11\nmethods = MC\nmethods = aSG\n"
+            "methods = aSG+CS\nmethods = aSG+CS2\nmethods = QMC+CS+CV\nbudgets = 18\n"
+            "budgets = 108\ntol_schedule = 1e-2\ntol_schedule = 1e-4\n",
+            "vg": "example = ls15_modified\nmethods = MC+CS\nmethods = aSG+CS\n"
+            "methods = aSG+CS2\nbudgets = 108\ntol_schedule = 1e-2\n",
+        }
+        package_root = str(Path(smoothquad.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        runs = {}
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+            for verb, text in sweeps.items():
+                work = tmp_path / f"{verb}{hash_seed}"
+                work.mkdir()
+                conf = write_config(work / "s.conf", text)
+                args = [verb, "--config", conf, "--out", str(work / "s")]
+                args += ["--trace"] if verb == "converge" else []
+                runs[verb, hash_seed] = work, subprocess.Popen(
+                    [sys.executable, "-m", "smoothquad", *args],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
+        outputs = {}
+        for key, (work, proc) in runs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            # the stdout names the CSV it wrote, which differs between the runs
+            out = out.replace(str(work), "<work>")
+            csv_text = strip_seconds((work / "s.csv").read_text(encoding="utf-8"))
+            outputs[key] = csv_text, out, err
+        for verb in sweeps:
+            assert outputs[verb, "0"] == outputs[verb, "1"]
+        assert outputs["converge", "0"][2].count("\n") > 10
+        assert "best v [1, 1, 1]" in outputs["vg", "0"][1]

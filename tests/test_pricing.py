@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -1094,6 +1095,61 @@ class TestVarianceGamma:
         fine = self.tensor_price(model, 60, 160)
         assert abs(coarse / fine - 1.0) <= 1e-8
         assert abs(fine / price - 1.0) <= 1e-8
+
+
+class TestIntegrandLaw:
+    """An integrand carries the rules of its points beside their sampler."""
+
+    GK = rules1d.genz_keister_sequence()
+
+    @staticmethod
+    def record(out):
+        value, state = out
+        return value, state.eta, state.evaluations, state.distinct_points, state.status
+
+    @pytest.mark.parametrize(
+        "model",
+        [models.vg_example(), models.vg_example(modified=True), models.random_vg_instance(4, 1)],
+        ids=["ls15", "ls15_modified", "random"],
+    )
+    def test_vg_price_is_price_asg_on_its_integrand(self, model):
+        best, _ = linalg.best_binary_v(models.vg_base_matrix(model))
+        for v in (None, best):
+            for tol in (1e-2, 1e-4):
+                g = pricing.vg_smoothed_integrand(model, v)
+                assert self.record(pricing.price_asg(g, tol)) == self.record(
+                    pricing.price_vg_smoothed(model, tol, v=v)
+                )
+
+    def test_vg_rules_put_laguerre_first(self):
+        model = models.random_vg_instance(4, 1)
+        laguerre = rules1d.laguerre_sequence(model.T / model.nu - 1.0)
+        raw = pricing.vg_raw_integrand(model)
+        smoothed = pricing.vg_smoothed_integrand(model)
+        assert raw.seqs == (laguerre,) + (self.GK,) * 4
+        assert smoothed.seqs == (laguerre,) + (self.GK,) * 3
+        assert len(raw.seqs) == raw.dim == 5 and len(smoothed.seqs) == smoothed.dim == 4
+
+    def test_normal_integrands_carry_genz_keister(self):
+        model = models.random_instance(3, 19)
+        prob, dec = smoothing_parts(model)
+        v = np.array([1.0, 1.0, 0.0])
+        g_v = pricing.smoothed_integrand_v(prob, v, linalg.rank_one_reduce(prob.Sigma, v))
+        g = pricing.smoothed_integrand(prob, dec)
+        residual, _ = pricing.control_variate(g)
+        for f in (pricing.raw_integrand(prob, dec), g, g_v, residual):
+            assert f.seqs == self.GK
+
+    def test_replace_keeps_the_law(self):
+        # perfbench's tracer rebuilds every integrand with a wrapped func
+        for g in (
+            pricing.vg_smoothed_integrand(models.vg_example()),
+            pricing.smoothed_integrand(*smoothing_parts(models.random_instance(3, 19))),
+        ):
+            wrapped = dataclasses.replace(g, func=lambda p, f=g.func: f(p))
+            assert (wrapped.seqs, wrapped.sampler) == (g.seqs, g.sampler)
+            hash((g, wrapped))  # tuples of rules keep a frozen integrand hashable
+            assert pricing.price_asg(wrapped, 1e-3)[0] == pricing.price_asg(g, 1e-3)[0]
 
 
 class TestReferencePrice:
