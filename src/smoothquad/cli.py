@@ -293,25 +293,28 @@ def _mc_row(cfg, f):
     return lambda n: pricing.price_mc(f, n, rng)[0]
 
 
+def _covariance(cfg, model):
+    """Covariance whose smoothing a ``decomp`` report states and aSG+CS2 searches."""
+    if cfg.model == "vg":
+        return models.vg_base_matrix(model)
+    return models.effective_bs(model).Sigma
+
+
 def _methods(cfg, model):
-    """Method table of a ``converge`` or ``vg`` sweep.
+    """Method table of a ``converge`` or ``vg`` sweep; building it prints nothing.
 
     Each sampling method maps to a pricer of a budget n, each adaptive
     one to a run ``run(tol, trace=hook)`` read by :func:`_checkpoints`.
-    The model sets the integrands and the covariance aSG+CS2 searches; a
-    ``vg`` sweep keeps four methods, prints the base covariance's
-    eigenvalues, and its first aSG+CS2 row prints the direction found.
+    The model sets the integrands and the covariance aSG+CS2 searches;
+    a ``vg`` aSG+CS2 run prints the direction it found.
     """
     vg = cfg.model == "vg"
+    sigma = _covariance(cfg, model)
     if vg:
-        sigma = models.vg_base_matrix(model)
-        lams = "/".join(f"{x:.5f}" for x in linalg.rank_one_reduce(sigma).lambda_sq)
-        print(f"lambda_sq {lams}")
         f_raw, g_cs = pricing.vg_raw_integrand(model), pricing.vg_smoothed_integrand(model)
         along = functools.partial(pricing.vg_smoothed_integrand, model)
     else:
         prob = models.effective_bs(model)
-        sigma = prob.Sigma
         dec = linalg.rank_one_reduce(sigma)
         f_raw, g_cs = pricing.raw_integrand(prob, dec), pricing.smoothed_integrand(prob, dec)
 
@@ -343,7 +346,7 @@ def _methods(cfg, model):
             print(f"best v {np.asarray(v, dtype=int).tolist()} lambda1_sq {lam1_sq:.5f}")
         return asg(along(v))
 
-    table = {
+    return {
         "MC": mc(f_raw),
         "QMC": qmc(f_raw),
         "aSG": asg(f_raw),
@@ -354,57 +357,6 @@ def _methods(cfg, model):
         "MC+CS+CV": with_cv(mc),
         "QMC+CS+CV": with_cv(qmc),
     }
-    return {m: table[m] for m in ("MC", "MC+CS", "aSG+CS", "aSG+CS2")} if vg else table
-
-
-def _row_tasks(cfg, table, reference_tol, trace):
-    """One closure per CSV row, in config order, from a method table, and the reference's reader.
-
-    A sampling method gives one row per budget, an adaptive one one row
-    per tolerance: the checkpoints of one run, which for aSG+CS is read
-    at ``reference_tol`` too.
-    """
-    missing = [m for m in cfg.methods if m not in table]
-    if missing:
-        raise ConfigInvalid(
-            f"method {missing[0]} is not available for {cfg.model} runs; allowed: {list(table)}"
-        )
-    tols = {m: list(cfg.tol_schedule) for m in cfg.methods if m not in SAMPLING_METHODS}
-    tols.setdefault("aSG+CS", []).append(reference_tol)
-    reads = {m: _checkpoints(table[m], ts, trace) for m, ts in tols.items()}
-    tasks = []
-    for method in cfg.methods:
-        xs = cfg.budgets if method in SAMPLING_METHODS else cfg.tol_schedule
-        tasks.extend(_task(method, reads.get(method, table[method]), x) for x in xs)
-    return tasks, reads["aSG+CS"]
-
-
-def _task(method, price, x):
-    """Row closure pricing at ``x``: a budget for a sampling method, a tolerance otherwise.
-
-    A sampling row counts its budget.  An adaptive ``price(tol)`` is a
-    :func:`_checkpoints` reader, and its row counts the run's evaluations
-    and seconds up to the checkpoint.  A row that raises gets its error
-    as its status and no estimate; an adaptive one then counts 0.
-    """
-    sampling = method in SAMPLING_METHODS
-
-    def run(ref):
-        start = time.monotonic()
-        n, seconds = (x if sampling else 0), None
-        try:
-            if sampling:
-                value, status = price(x), "ok"
-            else:
-                state, seconds = price(x)
-                value, n, status = state.value, state.evaluations, state.status
-            rel = abs(value / ref - 1.0) if ref else None
-        except SmoothQuadError as exc:
-            value, rel, status = math.nan, None, type(exc).__name__
-        seconds = time.monotonic() - start if seconds is None else seconds
-        return pricing.EstimateRecord(method, n, value, rel, seconds, status=status)
-
-    return run
 
 
 def _format_cell(value) -> str:
@@ -415,68 +367,94 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _records_to_csv(records) -> str:
+def _records_to_csv(rows) -> str:
     lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    rec.method,
-                    str(rec.n_points),
-                    _format_cell(rec.estimate),
-                    _format_cell(rec.rel_error),
-                    f"{rec.seconds:.3f}",
-                    rec.status,
-                ]
-            )
-        )
+    for method, n_points, estimate, rel_error, seconds, status in rows:
+        cells = [method, str(n_points), _format_cell(estimate), _format_cell(rel_error)]
+        lines.append(",".join([*cells, f"{seconds:.3f}", status]))
     return "\n".join(lines) + "\n"
 
 
-def _run_tasks(tasks, ref):
-    return [task(ref) for task in tasks]
+def _run_tasks(cfg, table, reads, ref):
+    """The CSV rows of a sweep, in config order, as plain tuples.
+
+    Each row is ``(method, n_points, estimate, rel_error, seconds,
+    status)``, which :func:`_records_to_csv` writes.  A sampling method
+    gives one row per budget, priced by its ``table`` entry, and counts
+    the budget.  An adaptive one gives one row per tolerance, the run's
+    checkpoint from its :func:`_checkpoints` reader in ``reads``, and
+    counts the run's evaluations and seconds up to it.  A row that
+    raises gets its error as its status, no estimate and 0 points.
+    """
+    rows = []
+    for method in cfg.methods:
+        sampling = method in SAMPLING_METHODS
+        for x in cfg.budgets if sampling else cfg.tol_schedule:
+            start, seconds = time.monotonic(), None
+            try:
+                if sampling:
+                    value, n, status = table[method](x), x, "ok"
+                else:
+                    state, seconds = reads[method](x)
+                    value, n, status = state.value, state.evaluations, state.status
+                rel = abs(value / ref - 1.0) if ref else None
+            except SmoothQuadError as exc:
+                value, n, rel, status = math.nan, 0, None, type(exc).__name__
+            seconds = time.monotonic() - start if seconds is None else seconds
+            rows.append((method, n, value, rel, seconds, status))
+    return rows
 
 
-def _sweep(cfg: ExperimentConfig, kind: str, wrong_model: str, trace) -> str:
+# the model each sweep verb runs on, and the error for any other
+_VERB_MODEL = {
+    "converge": ("bs", "converge expects a bs model; use the vg verb instead"),
+    "vg": ("vg", "vg expects a vg model or an example"),
+}
+# the methods a sweep on each model offers
+_OFFERED = {"bs": ACRONYMS, "vg": ("MC", "MC+CS", "aSG+CS", "aSG+CS2")}
+
+
+def _sweep(cfg: ExperimentConfig, verb: str, trace) -> str:
     """Check, run and write a ``converge`` or ``vg`` sweep; returns the CSV path.
 
-    The rows of :func:`_methods`' table are measured against the
-    reference, a checkpoint of the aSG+CS run.
+    Every config error comes before the instance is built: no methods, a
+    model other than the verb's, or a method its model does not offer.
+    A ``vg`` sweep then prints the base covariance's eigenvalues.  Each
+    adaptive method runs once, at its smallest tolerance, and the rows of
+    :func:`_methods`' table are measured against the reference, a
+    checkpoint of the aSG+CS run.
     """
+    kind, wrong_model = _VERB_MODEL[verb]
     if not cfg.methods:
         raise ConfigInvalid("methods list must not be empty")
-    model = build_instance(cfg)
     if cfg.model != kind:
         raise ConfigInvalid(wrong_model)
+    offered = _OFFERED[kind]
+    missing = [m for m in cfg.methods if m not in offered]
+    if missing:
+        raise ConfigInvalid(
+            f"method {missing[0]} is not available for {kind} runs; allowed: {list(offered)}"
+        )
+    model = build_instance(cfg)
+    if kind == "vg":
+        lams = linalg.rank_one_reduce(_covariance(cfg, model)).lambda_sq
+        print("lambda_sq " + "/".join(f"{x:.5f}" for x in lams))
+    table = _methods(cfg, model)
     tol, reference = _reference_of(cfg, model)
-    tasks, at = _row_tasks(cfg, _methods(cfg, model), tol, trace)
-    ref = reference(at, tol)
-    records = _run_tasks(tasks, ref)
+    tols = {m: list(cfg.tol_schedule) for m in cfg.methods if m not in SAMPLING_METHODS}
+    tols.setdefault("aSG+CS", []).append(tol)
+    reads = {m: _checkpoints(table[m], ts, trace) for m, ts in tols.items()}
+    ref = reference(reads["aSG+CS"], tol)
+    rows = _run_tasks(cfg, table, reads, ref)
     out = Path(f"{cfg.output}.csv")
-    out.write_text(_records_to_csv(records), encoding="utf-8")
+    out.write_text(_records_to_csv(rows), encoding="utf-8")
     print(f"wrote {out}")
     return str(out)
 
 
-def run_convergence(cfg: ExperimentConfig, trace=None) -> str:
-    """Run the configured Black-Scholes sweep and write the CSV."""
-    wrong = "converge expects a bs model; use the vg verb instead"
-    return _sweep(cfg, "bs", wrong, trace)
-
-
-def run_vg(cfg: ExperimentConfig, trace=None) -> str:
-    """Run the configured Variance-Gamma sweep and write the CSV."""
-    wrong = "vg expects a vg model or an example"
-    return _sweep(cfg, "vg", wrong, trace)
-
-
 def report_decomposition(cfg: ExperimentConfig) -> str:
     """Smoothing report: eigenvalues for v = 1 and the best binary v."""
-    model = build_instance(cfg)
-    if isinstance(model, models.VarianceGammaBasket):
-        sigma = models.vg_base_matrix(model)
-    else:
-        sigma = models.effective_bs(model).Sigma
+    sigma = _covariance(cfg, build_instance(cfg))
     dec = linalg.rank_one_reduce(sigma)
     v, lam1_v = linalg.best_binary_v(sigma)
     lines = [
@@ -490,12 +468,8 @@ def report_decomposition(cfg: ExperimentConfig) -> str:
 def price_instance(cfg: ExperimentConfig) -> str:
     """Reference price and basic facts for the configured instance."""
     model = build_instance(cfg)
-    if cfg.model == "bs":
-        run = _methods(cfg, model)["aSG+CS"]
-    else:
-        run = functools.partial(pricing.price_vg_smoothed, model)
     tol, reference = _reference_of(cfg, model)
-    ref = reference(_checkpoints(run, [tol], None), tol)
+    ref = reference(_checkpoints(_methods(cfg, model)["aSG+CS"], [tol], None), tol)
     lines = [
         f"model {cfg.model} d {model.d}",
         f"forward {model.forward()!r}",
@@ -587,8 +561,7 @@ def main(argv=None) -> int:
         else:
             if args.out is not None:
                 cfg.output = args.out
-            sweep = run_convergence if args.verb == "converge" else run_vg
-            sweep(cfg, trace=_trace_writer(args.trace))
+            _sweep(cfg, args.verb, _trace_writer(args.trace))
         return 0
     except (ConfigInvalid, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -86,18 +86,6 @@ class Integrand:
         return self.func(points)
 
 
-@dataclass
-class EstimateRecord:
-    """One row of an estimator study: method, cost, value, accuracy."""
-
-    method: str
-    n_points: int
-    estimate: float
-    rel_error: Optional[float]
-    seconds: float
-    status: str = "ok"
-
-
 def _bs_call_core(s0, k, sigma):
     """Vectorized zero-rate Black-Scholes call with guarded branches.
 

@@ -237,6 +237,24 @@ class TestConvergeVerb:
         # an error row has no estimate and counts no points
         assert rows[1][1:3] == ["0", ""]
 
+    def test_sampling_error_row_counts_no_points(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
+
+        def non_finite(g):
+            raise NonFiniteIntegrand("control variate is not finite")
+
+        monkeypatch.setattr(pricing, "control_variate", non_finite)
+        conf = write_config(
+            tmp_path / "cv.conf",
+            "model = bs\nd = 2\nseed = 9\nmethods = MC+CS+CV\nbudgets = 18\n",
+        )
+        assert cli.main(["converge", "--config", conf, "--out", str(tmp_path / "cv")]) == 0
+        lines = (tmp_path / "cv.csv").read_text(encoding="utf-8").strip().splitlines()
+        rows = [row.split(",") for row in lines[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [("MC+CS+CV", "NonFiniteIntegrand")]
+        # no estimate, and 0 points as an adaptive error row counts, not the budget
+        assert rows[0][1:3] == ["0", ""]
+
     def test_control_variate_built_once_per_sweep(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
         builds = []
@@ -321,11 +339,16 @@ class TestConvergeVerb:
         conf = write_config(tmp_path / "m.conf", "model = bs\nd = 2\nseed = 9\n")
         assert cli.main(["converge", "--config", conf]) == 2
 
-    def test_rejects_vg_model(self, tmp_path):
-        conf = write_config(
-            tmp_path / "m.conf", "model = vg\nd = 2\nseed = 9\nmethods = MC\n"
-        )
-        assert cli.main(["converge", "--config", conf]) == 2
+    def test_rejects_vg_model(self, tmp_path, capsys):
+        # theta = 4.0 leaves the second instance's omega undefined: the model is checked first
+        for theta in ("", "theta = 4.0\ntheta = 4.0\n"):
+            conf = write_config(
+                tmp_path / "m.conf", f"model = vg\nd = 2\nseed = 9\n{theta}methods = MC\n"
+            )
+            assert cli.main(["converge", "--config", conf]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "config error: converge expects a bs model" in err
 
 
 class TestVgVerb:
@@ -378,7 +401,10 @@ class TestVgVerb:
             "model = vg\nd = 2\nseed = 5\nmethods = aSG+CS2\nmethods = QMC\n",
         )
         assert cli.main(["vg", "--config", conf]) == 2
-        assert "best v" not in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        # rejected before any set-up: not even the eigenvalue line
+        assert out == ""
+        assert "config error: method QMC is not available for vg runs" in err
         assert searches == []
 
     def test_sampling_rows_are_medians_of_streams(self, tmp_path, monkeypatch):
@@ -720,6 +746,21 @@ class TestPriceVerb:
         )
         price = float(out.strip().splitlines()[-1].split()[-1])
         assert 0.0 < price < models.random_instance(2, 9).forward()
+
+    def test_prints_vg_reference(self, tmp_path, capsys):
+        conf = write_config(
+            tmp_path / "p.conf", "model = vg\nd = 2\nseed = 5\ntol_schedule = 1e-2\n"
+        )
+        assert cli.main(["price", "--config", conf]) == 0
+        model = models.random_vg_instance(2, 5)
+        state = pricing.price_vg_smoothed(model, 1e-4)[1]
+        assert capsys.readouterr().out == (
+            f"reference {state.value!r} status {state.status} tol 0.0001 "
+            f"eta {state.eta:.3e} evaluations {state.evaluations} "
+            f"distinct_points {state.distinct_points}\n"
+            f"model vg d 2\nforward {model.forward()!r}\nstrike {model.K!r}\n"
+            f"price {state.value!r}\n"
+        )
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), "nine"])
     def test_seed_flag_validated_like_config(self, tmp_path, capsys, seed):

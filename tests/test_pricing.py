@@ -1181,24 +1181,3 @@ class TestReferencePrice:
         mean, se = pricing.mc_mean_se(f, 400_000, RngSpec(23))
         assert abs(mean - ref) <= 3.0 * se
 
-
-class TestEstimateRecord:
-    def test_defaults(self):
-        rec = pricing.EstimateRecord(
-            method="MC", n_points=100, estimate=1.25, rel_error=None, seconds=0.1
-        )
-        assert rec.status == "ok"
-        assert rec.rel_error is None
-
-    def test_fields_round_trip(self):
-        rec = pricing.EstimateRecord(
-            method="aSG+CS",
-            n_points=341,
-            estimate=1.773,
-            rel_error=1.3e-4,
-            seconds=0.05,
-            status="budget",
-        )
-        assert rec.method == "aSG+CS"
-        assert rec.n_points == 341
-        assert rec.status == "budget"
