@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import linalg, models, pricing
-from .errors import BudgetExhausted, ConfigInvalid, SmoothQuadError
+from .errors import ConfigInvalid, SmoothQuadError
 from .sampling import RngSpec
 
 PLOT_STYLE = {
@@ -137,8 +137,8 @@ def _build_config(raw) -> ExperimentConfig:
         cfg.model = "vg"
     if "d" in raw:
         cfg.d = _parse_int(raw["d"][0], "d")
-        if cfg.d < 2:
-            raise ConfigInvalid(f"d must be at least 2, got {cfg.d}")
+        if not 2 <= cfg.d <= linalg.MAX_DIM:
+            raise ConfigInvalid(f"d must lie in [2, {linalg.MAX_DIM}], got {cfg.d}")
     if "seed" in raw:
         cfg.seed = _parse_seed(raw["seed"][0])
     if "strike_mode" in raw:
@@ -239,8 +239,6 @@ def _checkpoints(run, tols, trace):
 
         try:
             end = snapshot(run(min(tols), trace=hook)[1])
-        except BudgetExhausted as exc:
-            end = snapshot(exc.state)
         except Exception as exc:  # raised again by each read past it, as by its own run
             end = exc, None
         return {**out, **dict.fromkeys(pending, end)}

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Grouped here because several of them cross module boundaries (the
-quadrature driver raises :class:`BudgetExhausted`, the CLI maps it to an
-exit code, and so on).
+Grouped here because they cross module boundaries: a pricer raises
+them, and the CLI writes one's name as a row's status or maps it to an
+exit code.
 """
 
 
@@ -42,14 +42,12 @@ class NonFiniteIntegrand(SmoothQuadError):
 
 
 class BudgetExhausted(SmoothQuadError):
-    """The adaptive driver ran out of evaluation budget.
+    """Names the status of an adaptive run past its evaluation budget.
 
-    Carries the partial ``state`` so callers can inspect or report it.
+    Nothing raises it: the run returns its state with ``status ==
+    "BudgetExhausted"``, as one at the rule-order cap returns
+    ``"saturated"``.
     """
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
 
 
 class OutOfDomain(SmoothQuadError):

@@ -455,8 +455,9 @@ def price_asg(
 ):
     """Adaptive sparse-grid price over ``integrand.seqs``; returns the estimate and the state.
 
-    ``state.status`` is ``"ok"``, or ``"saturated"`` if the run stopped
-    at the rule-order cap; past ``max_evals`` it raises BudgetExhausted.
+    ``state.status`` is ``"ok"``, or how the run stopped short of
+    ``tol``: ``"saturated"`` at the rule-order cap or
+    ``"BudgetExhausted"`` past ``max_evals``.
     """
     value, _, state = adaptive_quadrature(
         integrand, integrand.dim, tol, integrand.seqs, max_evals=max_evals, trace=trace
@@ -627,8 +628,8 @@ def reference_price(model: BlackScholesBasket, max_evals: int = DEFAULT_MAX_EVAL
 
     Runs :func:`price_asg` on the smoothed integrand at
     :func:`reference_tolerance`; a run stopped at the rule-order cap
-    has the status ``"saturated"``, and a run past ``max_evals`` raises
-    BudgetExhausted carrying its partial state.
+    has the status ``"saturated"``, and one past ``max_evals``
+    ``"BudgetExhausted"``.
     """
     prob = effective_bs(model)
     integrand = smoothed_integrand(prob, linalg.rank_one_reduce(prob.Sigma))

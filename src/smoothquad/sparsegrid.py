@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhausted, NonFiniteIntegrand
+from .errors import NonFiniteIntegrand
 from .rules1d import MAX_ORDER, RuleSequence, gauss_hermite_sequence
 
 DEFAULT_MAX_EVALS = 10**7
@@ -245,7 +245,7 @@ class AdaptiveState:
     ``distinct_points`` counts the distinct nodes of the grids of old
     and active indices.  ``tol`` is the tolerance asked for (nan if
     unset) and ``status`` how the run ended: ``"ok"``, ``"saturated"``
-    at the rule-order cap or ``"BudgetExhausted"``.
+    at the rule-order cap or ``"BudgetExhausted"`` past ``max_evals``.
     """
 
     dim: int
@@ -263,21 +263,17 @@ class AdaptiveState:
         overlap = self.old_set & set(self.active)
         if overlap:
             raise ValueError(f"old and active sets overlap: {sorted(overlap)[:3]}")
-        for alpha in self.old_set:
+
+        def step(alpha, q, by):
+            return alpha[:q] + (alpha[q] + by,) + alpha[q + 1 :]
+
+        # every parent of an old or active index is old; no child of an active one is
+        for alpha in itertools.chain(self.old_set, self.active):
             for q in range(self.dim):
-                if alpha[q] > 0:
-                    parent = alpha[:q] + (alpha[q] - 1,) + alpha[q + 1 :]
-                    if parent not in self.old_set:
-                        raise ValueError(f"old set not admissible at {alpha}")
-        for alpha in self.active:
-            for q in range(self.dim):
-                if alpha[q] > 0:
-                    parent = alpha[:q] + (alpha[q] - 1,) + alpha[q + 1 :]
-                    if parent not in self.old_set:
-                        raise ValueError(f"active index {alpha} lacks parent")
-                child = alpha[:q] + (alpha[q] + 1,) + alpha[q + 1 :]
-                if child in self.old_set:
-                    raise ValueError(f"active index {alpha} behind old {child}")
+                if alpha[q] > 0 and step(alpha, q, -1) not in self.old_set:
+                    raise ValueError(f"index {alpha} lacks its parent {step(alpha, q, -1)}")
+                if alpha in self.active and step(alpha, q, 1) in self.old_set:
+                    raise ValueError(f"active index {alpha} behind old {step(alpha, q, 1)}")
         total = math.fsum(self.active.values())
         if self.eta != total:
             raise ValueError(f"eta {self.eta!r} differs from the active sum {total!r}")
@@ -358,8 +354,9 @@ def adaptive_quadrature(
     still counts all 2^k difference grids of each index, repeats
     included, and the children are added one by one in order, with the
     budget checked after each; a batch stops at the first child over
-    budget, so no grid past it is evaluated.  ``eta`` is an exact
-    running sum over the active set.
+    budget, so no grid past it is evaluated, and the run stops
+    "BudgetExhausted" after that round.  ``eta`` is an exact running sum
+    over the active set.
 
     Parameters
     ----------
@@ -372,8 +369,8 @@ def adaptive_quadrature(
     seqs : RuleSequence or sequence of RuleSequence
         Univariate rule sequence per coordinate (one shared or d many).
     max_evals : int
-        Budget of difference-grid nodes (``state.evaluations``);
-        exceeding it raises BudgetExhausted carrying the partial state.
+        Budget of difference-grid nodes (``state.evaluations``); the
+        round that exceeds it is the last, and is not traced.
     trace : callable, optional
         Called as ``trace(state, alpha, g)`` after each acceptance round,
         with the accepted index ``alpha``, its local estimator ``g`` and
@@ -382,7 +379,8 @@ def adaptive_quadrature(
     Returns
     -------
     (value, eta, state)
-        ``state.status`` is ``"ok"`` or ``"saturated"``.
+        On every stop; ``state.status`` is ``"ok"``, ``"saturated"`` or
+        ``"BudgetExhausted"``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance {tol} must be positive and finite")
@@ -415,13 +413,6 @@ def adaptive_quadrature(
             state.value += value
             _add_exact(partials, g)
             heapq.heappush(heap, (-g, alpha))
-        if state.evaluations > max_evals:
-            state.eta = math.fsum(partials)
-            state.status = "BudgetExhausted"
-            raise BudgetExhausted(
-                f"{state.evaluations} evaluations exceed budget {max_evals}",
-                state=state,
-            )
 
     add_indices([(0,) * d])
     state.eta = math.fsum(partials)
@@ -443,6 +434,9 @@ def adaptive_quadrature(
         _add_exact(partials, -g)
         add_indices(children)
         state.eta = math.fsum(partials)
+        if state.evaluations > max_evals:
+            state.status = "BudgetExhausted"
+            break
         if trace is not None:
             trace(state, alpha, g)
     return state.value, state.eta, state

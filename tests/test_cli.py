@@ -9,7 +9,7 @@ import pytest
 
 import smoothquad
 from smoothquad import cli, linalg, models, pricing
-from smoothquad.errors import BudgetExhausted, ConfigInvalid, NonFiniteIntegrand
+from smoothquad.errors import ConfigInvalid, NonFiniteIntegrand
 from smoothquad.sampling import RngSpec
 from smoothquad.sparsegrid import AdaptiveState
 
@@ -299,7 +299,7 @@ class TestConvergeVerb:
         )
 
         def exhausted(*args, **kwargs):
-            raise BudgetExhausted("4321 evaluations exceed budget 4000", state=state)
+            return 2.5, state
 
         monkeypatch.setattr(pricing, "price_asg", exhausted)
         conf = write_config(
@@ -536,9 +536,7 @@ class TestReferenceBudget:
 
         def exhausted(model, tol=pricing.reference_tolerance(2), **kwargs):
             rows(model, **kwargs)
-            raise BudgetExhausted(
-                "4321 evaluations exceed budget 4000", state=state(tol, "BudgetExhausted")
-            )
+            return self.VALUE, state(tol, "BudgetExhausted")
 
         code, csv_ok, out_ok, err_ok = self.run(tmp_path, capsys, monkeypatch, verb, converged)
         assert code == 0 and err_ok == ""
@@ -553,14 +551,6 @@ class TestReferenceBudget:
         )
         assert out == out_ok.replace(record.format("ok"), record.format("BudgetExhausted"))
         assert record.format("BudgetExhausted") in out
-
-
-def own_run(price, tol):
-    """End state of ``price(tol)`` run on its own, from the root."""
-    try:
-        return price(tol)[1]
-    except BudgetExhausted as exc:
-        return exc.state
 
 
 def reference_record(state):
@@ -584,7 +574,7 @@ class TestSharedRuns:
     def assert_rows_equal_own_runs(self, rows, pricers, tols):
         assert [r[0] for r in rows] == [m for m in pricers for _ in tols]
         for (method, n, estimate, _, _, status), tol in zip(rows, tols * len(pricers)):
-            state = own_run(pricers[method], tol)
+            state = pricers[method](tol)[1]
             assert (int(n), float(estimate), status) == (
                 state.evaluations, state.value, state.status
             )
@@ -623,7 +613,7 @@ class TestSharedRuns:
             "aSG+CS2": functools.partial(pricing.price_vg_smoothed, model, v=v),
         }
         self.assert_rows_equal_own_runs(rows, pricers, tols)
-        reference = own_run(pricers["aSG+CS"], 1e-5)
+        reference = pricers["aSG+CS"](1e-5)[1]
         assert reference_record(reference) in captured.out.splitlines()
 
     def test_saturated_rows(self, tmp_path, capsys, monkeypatch):
@@ -648,7 +638,7 @@ class TestSharedRuns:
         statuses = []
         for tol in tols:
             mark, _ = at(tol)
-            state = own_run(price, tol)
+            state = price(tol)[1]
             assert mark == tuple(getattr(state, f) for f in mark._fields)
             statuses.append(mark.status)
         assert statuses == ["ok", "ok", "BudgetExhausted", "BudgetExhausted"]
@@ -664,7 +654,7 @@ class TestSharedRuns:
         price = functools.partial(pricing.price_asg, pricing.Integrand(g.dim, func, "nan"))
         at = cli._checkpoints(price, [1e-2, 1e-8], None)
         mark, _ = at(1e-2)
-        state = own_run(price, 1e-2)
+        state = price(1e-2)[1]
         assert mark == tuple(getattr(state, f) for f in mark._fields)
         for _ in range(2):
             with pytest.raises(NonFiniteIntegrand):
@@ -733,6 +723,23 @@ def test_report_verbs_reject_an_example_seed(tmp_path, capsys, verb, text, flag)
     out, err = capsys.readouterr()
     assert out == ""
     assert f"config error: seed does not apply to {verb} on an example" in err
+
+
+@pytest.mark.parametrize(
+    "verb,model",
+    [("converge", "bs"), ("vg", "vg")]
+    + [(verb, model) for verb in ("price", "decomp") for model in ("bs", "vg")],
+)
+def test_dimension_above_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch, verb, model):
+    d = linalg.MAX_DIM + 1
+    text = f"model = {model}\nd = {d}\nseed = 1\nmethods = MC\nbudgets = 18\n"
+    conf = write_config(tmp_path / "big.conf", text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([verb, "--config", conf]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"config error: d must lie in [2, {linalg.MAX_DIM}], got {d}" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 class TestPriceVerb:

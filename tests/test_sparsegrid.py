@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smoothquad import cli, linalg, models, pricing, sparsegrid
-from smoothquad.errors import BudgetExhausted, NonFiniteIntegrand
+from smoothquad.errors import NonFiniteIntegrand
 from smoothquad.rules1d import (
     gauss_hermite_sequence,
     genz_keister_sequence,
@@ -221,6 +221,9 @@ class TestAdaptiveQuadrature:
         vb, eb, sb = adaptive_quadrature(f, 3, 1e-9, GH, trace=recorder(lines_b))
         assert va == vb and ea == eb
         assert lines_a == lines_b
+        # an ok run traces every round, each accepting one index
+        assert sa.status == "ok"
+        assert len(lines_a) == len(sa.old_set)
         assert sa.old_set == sb.old_set
         assert sa.evaluations == sb.evaluations
 
@@ -260,12 +263,10 @@ class TestAdaptiveQuadrature:
         np.testing.assert_allclose(value, 1.0, atol=1e-13)
         assert len(state.old_set) >= 1
 
-    def test_budget_exhausted_carries_state(self):
+    def test_budget_stop_returns_its_state(self):
         f = lambda z: np.exp(z.sum(axis=1))
-        with pytest.raises(BudgetExhausted) as exc:
-            adaptive_quadrature(f, 5, 1e-14, GH, max_evals=50)
-        state = exc.value.state
-        assert state is not None
+        value, eta, state = adaptive_quadrature(f, 5, 1e-14, GH, max_evals=50)
+        assert (value, eta) == (state.value, state.eta)
         assert state.evaluations > 50
         assert state.status == "BudgetExhausted"
         state.verify()
@@ -296,10 +297,14 @@ class TestAdaptiveQuadrature:
     )
     def test_budget_stop_inside_a_child_batch(self, seq, d, max_evals, left_out):
         f = lambda z: np.exp(z.sum(axis=1))
-        with pytest.raises(BudgetExhausted) as exc:
-            adaptive_quadrature(f, d, 1e-14, seq, max_evals=max_evals)
-        state = exc.value.state
+        calls = []
+        _, _, state = adaptive_quadrature(
+            f, d, 1e-14, seq, max_evals=max_evals, trace=lambda *args: calls.append(args)
+        )
+        assert state.status == "BudgetExhausted"
         state.verify()
+        # the round the budget cut is not traced
+        assert len(calls) == len(state.old_set) - 1
         indices = state.old_set | set(state.active)
         # admissible children the stop left out of the last batch
         assert left_out == sum(
