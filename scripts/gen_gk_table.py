@@ -1,23 +1,44 @@
 """Regenerate the embedded Genz-Keister table in smoothquad/_gk_table.py.
 
-The nested sequence extends the midpoint rule for the standard normal
-weight by 2, 6, 10 and 16 points, giving rules with 1, 3, 9, 19 and 35
-nodes and polynomial degrees 1, 5, 15, 29 and 51.  Each extension adds
-the roots of the polynomial that is orthogonal, with respect to the
-signed measure (node polynomial times the normal density), to all lower
-powers; the combined weights then come from the moment equations.  All
-arithmetic runs at 60 significant digits and the printed table is exact
-to double precision.
+The table holds every level of the sequence that fits the 200-node
+order cap, levels 0 to 6.
 
-Usage: python3 scripts/gen_gk_table.py > src/smoothquad/_gk_table.py
+Levels 0 to 4 are the nested rules.  The sequence extends the midpoint
+rule for the standard normal weight by 2, 6, 10 and 16 points, giving
+rules with 1, 3, 9, 19 and 35 nodes and polynomial degrees 1, 5, 15, 29
+and 51.  Each extension adds the roots of the polynomial that is
+orthogonal, with respect to the signed measure (node polynomial times
+the normal density), to all lower powers; the combined weights then
+come from the moment equations.  All arithmetic runs at 60 significant
+digits and the printed table is exact to double precision.
+
+Levels 5 and 6 continue the sizes 2N+1 with the Gauss-Hermite rules of
+71 and 143 nodes.  They are the doubles ``smoothquad.rules1d.gauss_hermite``
+returns, printed so that they read back bit for bit, and not 60-digit
+values: prices have always been computed with those doubles, and
+60-digit nodes and weights differ from them in the last bits (in 12 of
+71 nodes and 67 of 71 weights of the 71-node rule, by up to 8.6e-15
+relative), which would move every price that reaches level 5.
+
+Usage: PYTHONPATH=src python3 scripts/gen_gk_table.py
+
+The table is written to src/smoothquad/_gk_table.py once every level is
+computed, so the module the script imports is never half written.
 """
 
+from pathlib import Path
+
 import mpmath as mp
+
+from smoothquad import rules1d
+
+TABLE = Path(__file__).resolve().parent.parent / "src" / "smoothquad" / "_gk_table.py"
 
 mp.mp.dps = 60
 
 EXTENSIONS = (2, 6, 10, 16)
 DEGREES = (1, 5, 15, 29, 51)
+GAUSS_HERMITE_SIZES = (71, 143)
 
 
 def double_factorial_moments(limit):
@@ -103,6 +124,14 @@ def full_rule(pos_sq):
     return nodes, weights
 
 
+def _float_text(x):
+    """17 significant digits of a double, which read back as that double."""
+    text = mp.nstr(mp.mpf(x), 17, strip_zeros=False)
+    if float(text) != x:
+        raise RuntimeError(f"{text} does not read back as {x!r}")
+    return text
+
+
 def main():
     rules = []
     pos_sq = []
@@ -114,31 +143,31 @@ def main():
         nodes, weights = full_rule(pos_sq)
         check_degree(nodes, weights, degree)
         rules.append((nodes, weights))
+    text = [[[mp.nstr(v, 17, strip_zeros=False) for v in column] for column in rule] for rule in rules]
+    for n in GAUSS_HERMITE_SIZES:
+        rule = rules1d.gauss_hermite(n)
+        text.append([[_float_text(v) for v in column.tolist()] for column in (rule.nodes, rule.weights)])
+    sizes = tuple(len(nodes) for nodes, _ in text)
+    degrees = DEGREES + tuple(2 * n - 1 for n in GAUSS_HERMITE_SIZES)
 
-    print('"""Nested quadrature table for the standard normal weight.')
-    print()
-    print("Generated by scripts/gen_gk_table.py; do not edit by hand.")
-    print('"""')
-    print()
-    print("GK_SIZES = (1, 3, 9, 19, 35)")
-    print()
-    print("GK_DEGREES = (1, 5, 15, 29, 51)")
-    print()
-    print("GK_NODES = (")
-    for nodes, _ in rules:
-        print("    (")
-        for x in nodes:
-            print(f"        {mp.nstr(x, 17, strip_zeros=False)},")
-        print("    ),")
-    print(")")
-    print()
-    print("GK_WEIGHTS = (")
-    for _, weights in rules:
-        print("    (")
-        for w in weights:
-            print(f"        {mp.nstr(w, 17, strip_zeros=False)},")
-        print("    ),")
-    print(")")
+    lines = [
+        '"""Genz-Keister rules for the standard normal weight, levels 0 to 6.',
+        "",
+        "Levels 0 to 4 are nested; levels 5 and 6 are the 71- and 143-node",
+        "Gauss-Hermite rules.",
+        "Generated by scripts/gen_gk_table.py; do not edit by hand.",
+        '"""',
+        "",
+        f"GK_SIZES = {sizes}",
+        "",
+        f"GK_DEGREES = {degrees}",
+    ]
+    for name, column in (("GK_NODES", 0), ("GK_WEIGHTS", 1)):
+        lines += ["", f"{name} = ("]
+        for rule in text:
+            lines += ["    ("] + [f"        {v}," for v in rule[column]] + ["    ),"]
+        lines.append(")")
+    TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -100,8 +100,11 @@ def _bs_call_core(s0, k, sigma):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lg = np.log(s0 / k)
         half = 0.5 * sigma * sigma
-        d1 = np.clip((lg + half) / sigma, -_D_CLAMP, _D_CLAMP)
-        d2 = np.clip((lg - half) / sigma, -_D_CLAMP, _D_CLAMP)
+        # clamped in place (asarray keeps 0-d results arrays); nan passes through
+        d1 = np.asarray((lg + half) / sigma)
+        d2 = np.asarray((lg - half) / sigma)
+        for d in (d1, d2):
+            np.minimum(np.maximum(d, -_D_CLAMP, out=d), _D_CLAMP, out=d)
         price = np.asarray(ndtr(d1) * s0 - ndtr(d2) * k)
         intrinsic = np.maximum(s0 - k, 0.0)
         np.maximum(price, intrinsic, out=price)

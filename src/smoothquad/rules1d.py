@@ -4,13 +4,14 @@ All rules integrate against probability densities, so weights always sum
 to one.  Three families are provided:
 
 * Gauss-Hermite for the standard normal weight,
-* the nested Genz-Keister sequence (table levels 0..4 with 1, 3, 9, 19
-  and 35 nodes, falling back to Gauss-Hermite above that),
+* the Genz-Keister sequence, read from a table: the nested levels 0..4
+  with 1, 3, 9, 19 and 35 nodes, then the 71- and 143-node Gauss-Hermite
+  rules as levels 5 and 6, the last that fit ``MAX_ORDER``,
 * generalized Gauss-Laguerre for the Gamma(alpha+1, 1) weight
   u^alpha e^-u / Gamma(alpha+1).
 
-Nodes and weights come from the Golub-Welsch eigenproblem, solved with
-``numpy.linalg.eigh`` and then Newton-polished.
+Gauss-Hermite and Laguerre nodes and weights come from the Golub-Welsch
+eigenproblem, solved with ``numpy.linalg.eigh`` and then Newton-polished.
 """
 
 import functools
@@ -70,28 +71,43 @@ def _refine_rule(nodes, weights, diag, offdiag_ext):
     overflow (extreme Laguerre tails) the true weight underflows, so the
     weight is set to zero; a non-finite Newton step keeps the eigenvalue
     node.
+
+    Each pass carries p_k and p'_k as the two rows of one array, in
+    three buffers that take turns as p_{k-1}, p_k and p_{k+1}, with
+    every x - a_k made in one call per pass; the Christoffel sum is
+    formed on the last pass only, the one whose nodes it was always
+    taken at.  The floating-point operations, and their order, are those
+    of a loop over p_k and p'_k separately.
     """
     n = nodes.shape[0]
+    # b_k and b_{k+1} (b_0 = 0) as 0-d arrays, which numpy multiplies by
+    # faster than by floats
+    b_lo = [np.array(0.0), *map(np.array, offdiag_ext[:-1])]
+    b_hi = list(map(np.array, offdiag_ext))
     x = nodes.copy()
-    chris = None
+    prev, cur, nxt = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+    shifted = np.empty((n, 2, n))
+    square = np.empty(n)
+    chris = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(3):
-            pkm1 = np.zeros(n)
-            pk = np.ones(n)
-            dkm1 = np.zeros(n)
-            dk = np.zeros(n)
-            s = np.zeros(n)
-            for k in range(n):
-                s += pk * pk
-                b_hi = offdiag_ext[k]
-                b_lo = offdiag_ext[k - 1] if k > 0 else 0.0
-                shifted = x - diag[k]
-                pk_next = (shifted * pk - b_lo * pkm1) / b_hi
-                dk_next = (shifted * dk + pk - b_lo * dkm1) / b_hi
-                pkm1, pk = pk, pk_next
-                dkm1, dk = dk, dk_next
-            chris = s
-            step = pk / dk
+        for last in (False, False, True):
+            # row k holds x - a_k twice, one for p_k and one for p'_k
+            np.subtract(x, diag[:, None, None], out=shifted)
+            prev[...] = 0.0
+            cur[0] = 1.0
+            cur[1] = 0.0
+            for s_k, b_k, b_next in zip(shifted, b_lo, b_hi):
+                if last:
+                    np.multiply(cur[0], cur[0], out=square)
+                    chris += square
+                # (s_k p_k - b_k p_{k-1}, s_k p'_k + p_k - b_k p'_{k-1}) / b_{k+1}
+                np.multiply(cur, s_k, out=nxt)
+                nxt[1] += cur[0]
+                prev *= b_k
+                nxt -= prev
+                nxt /= b_next
+                prev, cur, nxt = cur, nxt, prev
+            step = cur[0] / cur[1]
             ok = np.isfinite(step) & (np.abs(step) <= 1e-6 * (1.0 + np.abs(x)))
             x = np.where(ok, x - step, x)
         refined = np.where(np.isfinite(chris), 1.0 / chris, 0.0)
@@ -127,19 +143,19 @@ def _gk_size(level: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def genz_keister(level: int) -> QuadratureRule:
-    """Nested rule for the standard normal weight at the given level.
+    """Rule for the standard normal weight at the given level, from the table.
 
-    Levels 0..4 come from the embedded table (1, 3, 9, 19, 35 nodes with
-    degrees 1, 5, 15, 29, 51); higher levels fall back transparently to
-    Gauss-Hermite rules whose sizes continue the odd growth 2N+1.
+    Levels 0..4 are the nested rules (1, 3, 9, 19, 35 nodes with degrees
+    1, 5, 15, 29, 51).  Levels 5 and 6 continue the odd growth 2N+1 with
+    the Gauss-Hermite rules of 71 and 143 nodes, stored as the doubles
+    ``gauss_hermite`` gives for them; level 7 (287 nodes) is past
+    ``MAX_ORDER`` and raises ``OrderOutOfRange``.
     """
-    if level < 0:
-        raise OrderOutOfRange(f"genz_keister level {level} is negative")
-    if level < len(GK_SIZES):
-        nodes = np.array(GK_NODES[level])
-        weights = np.array(GK_WEIGHTS[level])
-        return QuadratureRule(nodes=nodes, weights=weights)
-    return gauss_hermite(_gk_size(level))
+    if not 0 <= level < len(GK_SIZES):
+        raise OrderOutOfRange(
+            f"genz_keister level {level} outside [0, {len(GK_SIZES) - 1}]"
+        )
+    return QuadratureRule(nodes=np.array(GK_NODES[level]), weights=np.array(GK_WEIGHTS[level]))
 
 
 @functools.lru_cache(maxsize=None)

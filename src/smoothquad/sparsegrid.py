@@ -168,40 +168,22 @@ class _TensorValues:
         by their bytes, as distinct rows would.
         """
         size = new = 1
-        for j, a in enumerate(alpha):
+        for seq, a in zip(self.seqs, alpha):
             if a:
-                s, n = self._level_counts.get((j, a)) or self._count_level(j, a)
+                s, n = self._level_counts.get((seq, a)) or self._count_level(seq, a)
                 size *= s
                 new *= n
         return size, new
 
-    def _count_level(self, j, level):
-        seq = self.seqs[j]
+    def _count_level(self, seq, level):
+        # keyed by the sequence, so coordinates that share one share the count
         lower = set()
         for lv in range(level):
             lower.update(seq.rule(lv).nodes.view(np.uint64).tolist())
         fresh = set(seq.rule(level).nodes.view(np.uint64).tolist()) - lower
         counts = (seq.size(level) + seq.size(level - 1), len(fresh))
-        self._level_counts[(j, level)] = counts
+        self._level_counts[(seq, level)] = counts
         return counts
-
-
-def delta_tensor(f, alpha, seqs):
-    """Apply the tensorized difference operator for one multi-index.
-
-    Expands every coordinate with alpha_j > 0 into Q_j - Q_{j-1}, so the
-    integrand is evaluated on 2^k tensor grids (k the number of positive
-    entries), all batched into a single call.
-
-    Returns
-    -------
-    (value, evaluations)
-        The signed combination and the number of nodes of the 2^k grids.
-    """
-    alpha = tuple(alpha)
-    tensor = _TensorValues(f, _seq_list(seqs, len(alpha)))
-    tensor.fill(list(_below(alpha)))
-    return tensor.delta(alpha), tensor.counts(alpha)[0]
 
 
 def total_degree_indices(d, q):
@@ -213,20 +195,6 @@ def total_degree_indices(d, q):
         for tail in total_degree_indices(d - 1, q - head):
             out.append((head,) + tail)
     return out
-
-
-def total_degree_quadrature(f, d, q, seqs):
-    """Sparse-grid quadrature over the index set {|alpha|_1 <= q}.
-
-    Every tensor grid of the index set is evaluated once, all in one
-    batched call.
-    """
-    if q < 0:
-        raise ValueError(f"total degree {q} is negative")
-    indices = total_degree_indices(d, q)
-    tensor = _TensorValues(f, _seq_list(seqs, d))
-    tensor.fill(indices)
-    return math.fsum(tensor.delta(alpha) for alpha in indices)
 
 
 @dataclass

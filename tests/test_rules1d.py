@@ -120,17 +120,86 @@ class TestGenzKeister:
         # nested extensions give up weight positivity past the 9-point rule
         assert float(np.min(rules1d.genz_keister(3).weights)) < 0.0
 
-    def test_fallback_is_gauss_hermite(self):
-        gk = rules1d.genz_keister(5)
-        gh = rules1d.gauss_hermite(71)
-        assert len(gk) == 71
-        np.testing.assert_array_equal(gk.nodes, gh.nodes)
-        np.testing.assert_array_equal(gk.weights, gh.weights)
-        assert len(rules1d.genz_keister(6)) == 143
+    def test_levels_five_and_six_are_gauss_hermite(self):
+        # the table holds the doubles gauss_hermite gave when it was made;
+        # another LAPACK may round the rule built now in the last bits
+        for level, n in ((5, 71), (6, 143)):
+            gk = rules1d.genz_keister(level)
+            gh = rules1d.gauss_hermite(n)
+            assert len(gk) == n
+            np.testing.assert_allclose(gk.nodes, gh.nodes, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(gk.weights, gh.weights, rtol=1e-14, atol=0)
+
+    def test_levels_five_and_six_build_no_rule(self, monkeypatch):
+        def no_build(n):
+            raise AssertionError(f"gauss_hermite({n}) called")
+
+        monkeypatch.setattr(rules1d, "gauss_hermite", no_build)
+        # past the cache, so the table is read whatever ran before
+        assert [len(rules1d.genz_keister.__wrapped__(lv)) for lv in (5, 6)] == [71, 143]
+
+    def test_level_past_the_order_cap_rejected(self):
+        assert rules1d.genz_keister_sequence().size(7) > rules1d.MAX_ORDER
+        with pytest.raises(OrderOutOfRange):
+            rules1d.genz_keister(7)
 
     def test_negative_level_rejected(self):
         with pytest.raises(OrderOutOfRange):
             rules1d.genz_keister(-1)
+
+
+def _refine_rule_loop(nodes, weights, diag, offdiag_ext):
+    """The Newton polish as a plain loop over p_k and p'_k: the reference."""
+    n = nodes.shape[0]
+    x = nodes.copy()
+    chris = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            pkm1 = np.zeros(n)
+            pk = np.ones(n)
+            dkm1 = np.zeros(n)
+            dk = np.zeros(n)
+            s = np.zeros(n)
+            for k in range(n):
+                s += pk * pk
+                b_hi = offdiag_ext[k]
+                b_lo = offdiag_ext[k - 1] if k > 0 else 0.0
+                shifted = x - diag[k]
+                pk_next = (shifted * pk - b_lo * pkm1) / b_hi
+                dk_next = (shifted * dk + pk - b_lo * dkm1) / b_hi
+                pkm1, pk = pk, pk_next
+                dkm1, dk = dk, dk_next
+            chris = s
+            step = pk / dk
+            ok = np.isfinite(step) & (np.abs(step) <= 1e-6 * (1.0 + np.abs(x)))
+            x = np.where(ok, x - step, x)
+        refined = np.where(np.isfinite(chris), 1.0 / chris, 0.0)
+    bad = ~np.isfinite(refined)
+    if np.any(bad):
+        refined[bad] = weights[bad]
+    return x, refined
+
+
+def _recurrences():
+    for n in [*range(1, 61), 71, 143, 199]:
+        yield np.zeros(n), np.sqrt(np.arange(1.0, n + 1.0))
+    for alpha in (-0.5, 0.0, 16 / 9, 2.3):
+        for n in range(1, 81):
+            k = np.arange(n, dtype=float)
+            j = np.arange(1.0, n + 1.0)
+            yield 2.0 * k + alpha + 1.0, np.sqrt(j * (j + alpha))
+
+
+class TestNewtonPolish:
+    def test_matches_the_loop_bit_for_bit(self):
+        for diag, offdiag_ext in _recurrences():
+            off = offdiag_ext[:-1]
+            jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            nodes, vectors = np.linalg.eigh(jacobi)
+            weights = vectors[0] ** 2
+            got = rules1d._refine_rule(nodes, weights, diag, offdiag_ext)
+            want = _refine_rule_loop(nodes, weights, diag, offdiag_ext)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], len(diag)
 
 
 class TestGeneralizedLaguerre:

@@ -16,11 +16,10 @@ from smoothquad.sparsegrid import (
     AdaptiveState,
     adaptive_quadrature,
     admissible_children,
-    delta_tensor,
     interpolant_total_degree,
     total_degree_indices,
-    total_degree_quadrature,
 )
+from sparsegrid_helpers import delta_tensor, total_degree_quadrature
 
 GH = gauss_hermite_sequence()
 
