@@ -14,21 +14,28 @@ digits and the printed table is exact to double precision.
 
 Levels 5 and 6 continue the sizes 2N+1 with the Gauss-Hermite rules of
 71 and 143 nodes.  They are the doubles ``smoothquad.rules1d.gauss_hermite``
-returns, printed so that they read back bit for bit, and not 60-digit
-values: prices have always been computed with those doubles, and
-60-digit nodes and weights differ from them in the last bits (in 12 of
-71 nodes and 67 of 71 weights of the 71-node rule, by up to 8.6e-15
-relative), which would move every price that reaches level 5.
+returns, and not 60-digit values: prices have always been computed with
+those doubles, and 60-digit nodes and weights differ from them in the
+last bits (in 12 of 71 nodes and 67 of 71 weights of the 71-node rule,
+by up to 8.6e-15 relative), which would move every price that reaches
+level 5.
 
 Usage: PYTHONPATH=src python3 scripts/gen_gk_table.py
 
-The table is written to src/smoothquad/_gk_table.py once every level is
-computed, so the module the script imports is never half written.
+Levels 0 to 4 are stored as the doubles that 17 significant digits of
+their 60-digit values read back as.  The nodes of a level, and its
+weights, are written as one string of the doubles' reprs, checked to
+parse back bit for bit: a few dozen string constants compile far faster
+than hundreds of float literals, and the module is compiled in every
+process that writes no bytecode.  The table is written to src/smoothquad/_gk_table.py once
+every level is computed, so the module the script imports is never half
+written.
 """
 
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 
 from smoothquad import rules1d
 
@@ -124,12 +131,28 @@ def full_rule(pos_sq):
     return nodes, weights
 
 
-def _float_text(x):
-    """17 significant digits of a double, which read back as that double."""
-    text = mp.nstr(mp.mpf(x), 17, strip_zeros=False)
-    if float(text) != x:
-        raise RuntimeError(f"{text} does not read back as {x!r}")
+def _double(x):
+    """The double that 17 significant digits of ``x`` read back as."""
+    return float(mp.nstr(x, 17, strip_zeros=False))
+
+
+def _level_text(values):
+    """The doubles ``values`` as one string of their reprs, checked to
+    read back through ``rules1d._parse_doubles`` bit for bit."""
+    text = " ".join(repr(x) for x in values)
+    if rules1d._parse_doubles(text).tobytes() != np.array(values).tobytes():
+        raise RuntimeError(f"{text} does not read back as {values}")
     return text
+
+
+def _string_lines(text, per_line=4):
+    """Source lines of the string literal ``text``, ``per_line`` doubles a line."""
+    words = text.split()
+    if len(words) <= per_line:
+        return [f'    "{text}",']
+    chunks = [" ".join(words[i : i + per_line]) for i in range(0, len(words), per_line)]
+    body = [f'        "{chunk} "' for chunk in chunks[:-1]] + [f'        "{chunks[-1]}"']
+    return ["    ("] + body + ["    ),"]
 
 
 def main():
@@ -143,18 +166,19 @@ def main():
         nodes, weights = full_rule(pos_sq)
         check_degree(nodes, weights, degree)
         rules.append((nodes, weights))
-    text = [[[mp.nstr(v, 17, strip_zeros=False) for v in column] for column in rule] for rule in rules]
+    doubles = [[[_double(v) for v in column] for column in rule] for rule in rules]
     for n in GAUSS_HERMITE_SIZES:
         rule = rules1d.gauss_hermite(n)
-        text.append([[_float_text(v) for v in column.tolist()] for column in (rule.nodes, rule.weights)])
-    sizes = tuple(len(nodes) for nodes, _ in text)
+        doubles.append([rule.nodes.tolist(), rule.weights.tolist()])
+    sizes = tuple(len(nodes) for nodes, _ in doubles)
     degrees = DEGREES + tuple(2 * n - 1 for n in GAUSS_HERMITE_SIZES)
 
     lines = [
         '"""Genz-Keister rules for the standard normal weight, levels 0 to 6.',
         "",
         "Levels 0 to 4 are nested; levels 5 and 6 are the 71- and 143-node",
-        "Gauss-Hermite rules.",
+        "Gauss-Hermite rules.  The nodes of a level, and its weights, are one",
+        "string of the doubles' reprs, which ``rules1d.genz_keister`` parses.",
         "Generated by scripts/gen_gk_table.py; do not edit by hand.",
         '"""',
         "",
@@ -164,8 +188,8 @@ def main():
     ]
     for name, column in (("GK_NODES", 0), ("GK_WEIGHTS", 1)):
         lines += ["", f"{name} = ("]
-        for rule in text:
-            lines += ["    ("] + [f"        {v}," for v in rule[column]] + ["    ),"]
+        for rule in doubles:
+            lines += _string_lines(_level_text(rule[column]))
         lines.append(")")
     TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -451,14 +451,26 @@ def _sweep(cfg: ExperimentConfig, verb: str, trace) -> str:
 
 
 def report_decomposition(cfg: ExperimentConfig) -> str:
-    """Smoothing report: eigenvalues for v = 1 and the best binary v."""
-    sigma = _covariance(cfg, build_instance(cfg))
+    """Smoothing report: eigenvalues for v = 1 and the best binary v.
+
+    For each v it also states what the smoothed integrand smooths:
+    :func:`pricing.weight_share` and lambda1 times that share.
+    """
+    model = build_instance(cfg)
+    sigma = _covariance(cfg, model)
     dec = linalg.rank_one_reduce(sigma)
     v, lam1_v = linalg.best_binary_v(sigma)
+
+    def share(v, lam1_sq):
+        s = pricing.weight_share(model, v)
+        return f"{s:.5f}, lambda1 x share {math.sqrt(lam1_sq) * s:.5f}"
+
     lines = [
         "lambda_sq (v = 1): " + " / ".join(f"{x:.5f}" for x in dec.lambda_sq),
+        f"weight share (v = 1): {share(dec.v, dec.lambda_sq[0])}",
         f"best v: {np.asarray(v, dtype=int).tolist()}",
         f"lambda1_sq (best v): {lam1_v:.5f}",
+        f"weight share (best v): {share(v, lam1_v)}",
     ]
     return "\n".join(lines)
 

@@ -4,13 +4,14 @@
 ``v`` and a positive semidefinite remainder, ``lambda1_sq`` scores one
 direction and ``best_binary_v`` searches all 2^d binary ones, enumerating
 each half of the coordinates once and joining the halves with one
-matrix product per block of bit patterns.  A lower bound per pattern of
-the high half skips every block whose values all lie above one already
-computed, so the search returns what the full enumeration would.  The
-Cholesky factor and the eigendecomposition are numpy's LAPACK calls;
-eigenvector signs are fixed by a rule because LAPACK leaves them
-arbitrary.  Dimension is capped at 35.  ``finite`` and ``symmetric``
-check every array where it enters this module and ``models``.
+matrix product per block of bit patterns; no table of the patterns is
+held whole.  A lower bound per pattern of the high half skips every
+block whose values all lie above one already computed, so the search
+returns what the full enumeration would.  The Cholesky factor and the
+eigendecomposition are numpy's LAPACK calls; eigenvector signs are fixed
+by a rule because LAPACK leaves them arbitrary.  Dimension is capped at
+35.  ``finite`` and ``symmetric`` check every array where it enters this
+module and ``models``.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,11 @@ import numpy as np
 from .errors import DimensionTooLarge, NotPositiveDefinite, ZeroVector
 
 MAX_DIM = 35
-MAX_ENUM_DIM = 25
 # entries of one block of the binary search (512 KB of float64)
 _BLOCK_ENTRIES = 1 << 16
+# rows of one piece of a bit-pattern table (at most 18 columns, 147 KB of
+# float64); more than one, so a piece takes the products a whole table does
+_PIECE_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -170,10 +173,17 @@ def rank_one_reduce(sigma, v=None) -> SmoothingDecomposition:
     return SmoothingDecomposition(V=V, lambda_sq=lambda_sq, v=v)
 
 
-def _bit_rows(n: int) -> np.ndarray:
-    """All of ``{0,1}^n`` as rows; row ``m`` holds the bits of ``m``."""
-    m = np.arange(1 << n, dtype=np.uint32)
+def _bit_rows(start: int, stop: int, n: int) -> np.ndarray:
+    """Rows ``start`` to ``stop - 1`` of ``{0,1}^n``; row ``m`` holds the bits of ``m``."""
+    m = np.arange(start, stop, dtype=np.uint32)
     return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+
+
+def _pieces(n: int):
+    """``(slice, rows)`` of ``{0,1}^n`` in order, ``_PIECE_ROWS`` rows at a time."""
+    for start in range(0, 1 << n, _PIECE_ROWS):
+        stop = min(start + _PIECE_ROWS, 1 << n)
+        yield slice(start, stop), _bit_rows(start, stop, n)
 
 
 def best_binary_v(sigma) -> tuple[np.ndarray, float]:
@@ -185,16 +195,16 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     split into a low half of ``n_l = ceil(d/2)`` bits and a high half of
     ``d - n_l``; with ``m = (h << n_l) | l``,
     ``q(m) = q_h[h] + q_l[l] + (B_h M)[h, l]``, where ``B_l`` and ``B_h``
-    enumerate each half once, ``q_l`` and ``q_h`` are their own
-    quadratic forms and ``M = 2 P_hl B_l^T``.  Blocks of consecutive
-    ``h`` cost one matrix product each.  Row-major order over
-    ``(h, l)`` is increasing ``m``; the flat argmin of a block, and the
-    smaller ``m`` across blocks, break ties of the computed ``q``
-    towards the smallest integer whose bit ``i`` equals ``v_i``.
-    Patterns whose ``q`` tie in exact arithmetic can round apart, and
-    then the least rounded value wins: on the equicorrelated
-    ``rho = 0.5`` covariance at ``d = 12`` every single bit ties with
-    the all-ones vector, and the search returns ``e_2``.
+    enumerate each half, ``q_l`` and ``q_h`` are their own quadratic
+    forms and ``M = 2 P_hl B_l^T``.  Blocks of consecutive ``h`` cost one
+    matrix product each.  Row-major order over ``(h, l)`` is increasing
+    ``m``; the flat argmin of a block, and the smaller ``m`` across
+    blocks, break ties of the computed ``q`` towards the smallest
+    integer whose bit ``i`` equals ``v_i``.  Patterns whose ``q`` tie in
+    exact arithmetic can round apart, and then the least rounded value
+    wins: on the equicorrelated ``rho = 0.5`` covariance at ``d = 12``
+    every single bit ties with the all-ones vector, and the search
+    returns ``e_2``.
 
     Only the blocks that can hold the minimum are evaluated.  Every
     ``q(m)`` with high half ``h`` is at least
@@ -209,31 +219,39 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     evaluated are exactly those whose least bound is at most the
     winner's ``q``.
 
+    No table of bit patterns is held whole: ``B_l`` and ``B_h`` are made
+    ``_PIECE_ROWS`` rows at a time, and a block's rows of ``B_h`` when it
+    is evaluated.  What the search keeps is ``M`` (``d - n_l`` by
+    ``2^n_l``, 36 MB at ``d = 35``) and one float per pattern of each
+    half (``q_l``, ``q_h`` and the bound).  A piece of more than one row
+    takes the same BLAS matrix product as a whole table, so every entry
+    is the double a whole table gives (a one-row piece would be a
+    matrix-vector product, which can round apart).
+
     Raises
     ------
     DimensionTooLarge
-        If ``d > 25`` (the enumeration is exponential in ``d``).
+        If ``d > 35``, like every covariance entering this module.
     """
     sigma = symmetric(sigma, "covariance")
     n = sigma.shape[0]
-    if n > MAX_ENUM_DIM:
-        raise DimensionTooLarge(
-            f"binary search enumerates 2^d vectors; d = {n} exceeds {MAX_ENUM_DIM}"
-        )
 
     # quadratic form v' P v with P = sigma^-1
     Linv = _inv_factor(sigma)
     P = Linv.T @ Linv
 
     n_l = (n + 1) // 2
-    B_l, B_h = _bit_rows(n_l), _bit_rows(n - n_l)
-    q_l = np.einsum("ij,ij->i", B_l @ P[:n_l, :n_l], B_l)
-    q_h = np.einsum("ij,ij->i", B_h @ P[n_l:, n_l:], B_h)
-    M = 2.0 * P[n_l:, :n_l] @ B_l.T
+    n_h = n - n_l
+    P_l, P_h, P_hl = P[:n_l, :n_l], P[n_l:, n_l:], 2.0 * P[n_l:, :n_l]
+    q_l = np.empty(1 << n_l)
+    M = np.empty((n_h, 1 << n_l))
+    for piece, B in _pieces(n_l):
+        q_l[piece] = np.einsum("ij,ij->i", B @ P_l, B)
+        M[:, piece] = P_hl @ B.T
     rows = max(1, _BLOCK_ENTRIES >> n_l)
 
     def block_min(h0):
-        quad = B_h[h0 : h0 + rows] @ M
+        quad = _bit_rows(h0, min(h0 + rows, 1 << n_h), n_h) @ M
         quad += q_h[h0 : h0 + rows, None]
         quad += q_l
         if h0 == 0:
@@ -243,10 +261,20 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
 
     # lower bound of every q(m) with high half h, less a slack far above
     # the rounding of either side, so no skipped block can hold a value
-    # at or below one already computed
-    bound = q_h + q_l.min() + B_h @ M.min(axis=1)
-    bound -= 1e-9 * (np.abs(q_h) + np.abs(q_l).max() + B_h @ np.abs(M).max(axis=1))
-    starts = np.arange(0, B_h.shape[0], rows)
+    # at or below one already computed; max |x| is max(max x, -min x)
+    M_min, M_max = M.min(axis=1), M.max(axis=1)
+    M_abs = np.maximum(M_max, -M_min)
+    q_l_min = q_l.min()
+    q_l_abs = max(q_l.max(), -q_l_min)
+    q_h = np.empty(1 << n_h)
+    bound = np.empty(1 << n_h)
+    for piece, B in _pieces(n_h):
+        q = np.einsum("ij,ij->i", B @ P_h, B)
+        q_h[piece] = q
+        low = q + q_l_min + B @ M_min
+        low -= 1e-9 * (np.abs(q) + q_l_abs + B @ M_abs)
+        bound[piece] = low
+    starts = np.arange(0, 1 << n_h, rows)
     lows = np.minimum.reduceat(bound, starts)
     best_q = np.inf
     best_m = -1

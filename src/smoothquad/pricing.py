@@ -518,6 +518,20 @@ def _vg_forward_weights(model):
     return w, math.exp(-model.r * model.T)
 
 
+def weight_share(model: BlackScholesBasket, v) -> float:
+    """Share ``sum(w v) / sum(w)`` of the basket weight that direction ``v`` selects.
+
+    ``w`` are the weights the smoothed integrand splits along ``v``:
+    ``effective_bs``'s for Black-Scholes, the forward weights for
+    Variance-Gamma.
+    """
+    if isinstance(model, VarianceGammaBasket):
+        w = _vg_forward_weights(model)[0]
+    else:
+        w = effective_bs(model).w
+    return float(w @ v) / float(w.sum())
+
+
 def _vg_law(model, dim):
     """Sampler and rule sequences of ``dim``-column (u, z) points, u ~ Gamma(T/nu, 1).
 

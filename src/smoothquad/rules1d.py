@@ -155,7 +155,14 @@ def genz_keister(level: int) -> QuadratureRule:
         raise OrderOutOfRange(
             f"genz_keister level {level} outside [0, {len(GK_SIZES) - 1}]"
         )
-    return QuadratureRule(nodes=np.array(GK_NODES[level]), weights=np.array(GK_WEIGHTS[level]))
+    return QuadratureRule(
+        nodes=_parse_doubles(GK_NODES[level]), weights=_parse_doubles(GK_WEIGHTS[level])
+    )
+
+
+def _parse_doubles(text: str) -> np.ndarray:
+    """The doubles of a table string of space-separated reprs, bit for bit."""
+    return np.array([float(x) for x in text.split()])
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ import pytest
 
 import smoothquad
 from smoothquad import cli, linalg, models, pricing
-from smoothquad.errors import ConfigInvalid, NonFiniteIntegrand
+from smoothquad.errors import ConfigInvalid, DimensionTooLarge, NonFiniteIntegrand
 from smoothquad.sampling import RngSpec
 from smoothquad.sparsegrid import AdaptiveState
 
@@ -218,8 +218,7 @@ class TestConvergeVerb:
             cli.main(["converge", "--config", conf, "--out", out, "--threads", "2"])
         assert exc.value.code == 2
 
-    def test_binary_search_above_its_cap_is_a_row_status(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
+    def cs2_rows(self, tmp_path):
         conf = write_config(
             tmp_path / "d26.conf",
             "model = bs\nd = 26\nseed = 3\nmethods = QMC+CS\nmethods = aSG+CS2\n"
@@ -228,7 +227,23 @@ class TestConvergeVerb:
         out = str(tmp_path / "d26")
         assert cli.main(["converge", "--config", conf, "--out", out]) == 0
         lines = (tmp_path / "d26.csv").read_text(encoding="utf-8").strip().splitlines()
-        rows = [row.split(",") for row in lines[1:]]
+        return [row.split(",") for row in lines[1:]]
+
+    def test_binary_search_runs_above_d25(self, tmp_path, monkeypatch):
+        # the search takes every d up to the dimension cap of 35
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
+        rows = self.cs2_rows(tmp_path)
+        assert [(r[0], r[-1]) for r in rows] == [("QMC+CS", "ok"), ("aSG+CS2", "ok")]
+        assert float(rows[1][2]) > 0.0 and int(rows[1][1]) > 0
+
+    def test_binary_search_above_its_cap_is_a_row_status(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_bs_reference", lambda *args: 1.0)
+
+        def capped(sigma):
+            raise DimensionTooLarge(f"d = {sigma.shape[0]} exceeds the search's cap")
+
+        monkeypatch.setattr(linalg, "best_binary_v", capped)
+        rows = self.cs2_rows(tmp_path)
         assert [(r[0], r[-1]) for r in rows] == [
             ("QMC+CS", "ok"),
             ("aSG+CS2", "DimensionTooLarge"),
@@ -457,7 +472,7 @@ class TestVgVerb:
         "methods, statuses",
         [
             (["MC+CS"], [("MC+CS", "ok")]),
-            (["MC+CS", "aSG+CS2"], [("MC+CS", "ok"), ("aSG+CS2", "DimensionTooLarge")]),
+            (["MC+CS", "aSG+CS2"], [("MC+CS", "ok"), ("aSG+CS2", "ok")]),
         ],
     )
     def test_binary_search_only_for_cs2_rows(
@@ -469,11 +484,12 @@ class TestVgVerb:
         conf = write_config(tmp_path / "vg26.conf", text)
         out = str(tmp_path / "vg26")
         assert cli.main(["vg", "--config", conf, "--out", out]) == 0
-        assert "best v" not in capsys.readouterr().out
+        # the search runs, and prints its line, only for an aSG+CS2 row
+        assert ("best v" in capsys.readouterr().out) == ("aSG+CS2" in methods)
         lines = (tmp_path / "vg26.csv").read_text(encoding="utf-8").strip().splitlines()
         rows = [row.split(",") for row in lines[1:]]
         assert [(r[0], r[-1]) for r in rows] == statuses
-        assert float(rows[0][2]) > 0.0
+        assert all(float(r[2]) > 0.0 for r in rows)
 
     def test_ls15_default_schedule_runs(self, tmp_path, capsys):
         # the reference at min(default tol_schedule) / 100 stops at the order cap
@@ -686,6 +702,10 @@ class TestDecompVerb:
         out = capsys.readouterr().out
         assert "lambda_sq (v = 1): 0.00023 / 0.03432 / 0.00652" in out
         assert "best v:" in out
+        # the shares are of the forward weights the VG integrand splits
+        assert "weight share (v = 1): 1.00000, lambda1 x share 0.01514\n" in out
+        assert "best v: [0, 1, 0]\n" in out
+        assert out.endswith("weight share (best v): 0.30795, lambda1 x share 0.02753\n")
 
     def test_report_matches_brute_force(self, tmp_path):
         conf = write_config(tmp_path / "d.conf", "model = bs\nd = 4\nseed = 31\n")
@@ -694,12 +714,32 @@ class TestDecompVerb:
         assert report.count("/") >= 3
 
     def test_best_v_at_the_search_cap(self, tmp_path, capsys):
-        conf = write_config(tmp_path / "d.conf", "model = bs\nd = 25\nseed = 2\n")
+        # d = 35, the dimension cap, is the search's only cap
+        conf = write_config(tmp_path / "d.conf", "model = bs\nd = 35\nseed = 2\n")
         assert cli.main(["decomp", "--config", conf]) == 0
         out = capsys.readouterr().out
-        sigma = models.effective_bs(models.random_instance(25, 2)).Sigma
+        sigma = models.effective_bs(models.random_instance(35, 2)).Sigma
         v, _ = linalg.best_binary_v(sigma)
         assert f"best v: {v.astype(int).tolist()}\n" in out
+
+    def test_weight_shares(self, tmp_path, capsys):
+        # d = 25 seed 2: the best v holds the last five assets, a fifth of
+        # the basket weight, so aSG+CS2 smooths less than aSG+CS does
+        conf = write_config(tmp_path / "d.conf", "model = bs\nd = 25\nseed = 2\n")
+        assert cli.main(["decomp", "--config", conf]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        prob = models.effective_bs(models.random_instance(25, 2))
+        v, lam1_sq = linalg.best_binary_v(prob.Sigma)
+        share = prob.w @ v / prob.w.sum()
+        lam1_ones = linalg.lambda1_sq(prob.Sigma) ** 0.5
+        assert lines[1:] == [
+            f"weight share (v = 1): 1.00000, lambda1 x share {lam1_ones:.5f}",
+            f"best v: {v.astype(int).tolist()}",
+            f"lambda1_sq (best v): {lam1_sq:.5f}",
+            f"weight share (best v): {share:.5f}, lambda1 x share {lam1_sq**0.5 * share:.5f}",
+        ]
+        assert lines[-1] == "weight share (best v): 0.19690, lambda1 x share 0.04031"
+        assert lines[1] == "weight share (v = 1): 1.00000, lambda1 x share 0.15237"
 
 
 @pytest.mark.parametrize("verb", ["price", "decomp"])

@@ -1,6 +1,7 @@
 """Rank-one smoothing decomposition, captured variance and the binary
 direction search."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,13 +234,20 @@ def _single_loop_best_binary_v(sigma):
     return v, 1.0 / best_q
 
 
+def _bit_table(n):
+    """All of ``{0,1}^n`` as one float table; row ``m`` holds the bits of ``m``."""
+    m = np.arange(1 << n, dtype=np.uint32)
+    return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
+
+
 def _joined_best_binary_v(sigma):
-    """``best_binary_v``'s join of the two halves over every block, unpruned."""
+    """``best_binary_v``'s join of the two halves over every block, unpruned,
+    from whole bit tables."""
     n = sigma.shape[0]
     Linv = linalg._inv_factor(sigma)
     P = Linv.T @ Linv
     n_l = (n + 1) // 2
-    B_l, B_h = linalg._bit_rows(n_l), linalg._bit_rows(n - n_l)
+    B_l, B_h = _bit_table(n_l), _bit_table(n - n_l)
     q_l = np.einsum("ij,ij->i", B_l @ P[:n_l, :n_l], B_l)
     q_h = np.einsum("ij,ij->i", B_h @ P[n_l:, n_l:], B_h)
     M = 2.0 * P[n_l:, :n_l] @ B_l.T
@@ -377,5 +385,53 @@ class TestBestBinaryV:
             assert lam >= mu_min - 1e-12
 
     def test_enumeration_guard(self):
-        with pytest.raises(DimensionTooLarge):
-            linalg.best_binary_v(np.eye(26))
+        # the search's only cap is the one on every covariance, at 35
+        linalg.best_binary_v(np.eye(linalg.MAX_DIM))
+        with pytest.raises(DimensionTooLarge, match="exceeds the cap of 35"):
+            linalg.best_binary_v(np.eye(linalg.MAX_DIM + 1))
+
+    @pytest.mark.parametrize(
+        "case, d, pieces",
+        [
+            ("equicorrelated+0.5", 12, (linalg._PIECE_ROWS, 2)),
+            (1, 20, (linalg._PIECE_ROWS, 16)),
+            (2, 25, (linalg._PIECE_ROWS,)),
+        ],
+    )
+    def test_pieces_match_the_unpruned_join(self, monkeypatch, case, d, pieces):
+        # bit patterns made a piece at a time give every q the double that
+        # whole tables give: the same v and the same bits of lambda1_sq.
+        # At d = 25 the 1,024-row pieces split both halves; the smaller
+        # patched sizes split them at d = 12 and 20 (a one-row piece would
+        # be a matrix-vector product, which can round apart)
+        if case in _TIED_SIGMAS:
+            sigma = _TIED_SIGMAS[case](d)
+        else:
+            sigma = models.effective_bs(models.random_instance(d, case)).Sigma
+        v_join, lam_join = _joined_best_binary_v(sigma)
+        if case == "equicorrelated+0.5":
+            np.testing.assert_array_equal(v_join, np.eye(d)[2])
+        for rows in pieces:
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_PIECE_ROWS", rows)
+                v, lam = linalg.best_binary_v(sigma)
+            np.testing.assert_array_equal(v, v_join)
+            assert lam.hex() == lam_join.hex()
+
+    @pytest.mark.parametrize("d, seed", [(30, 1), (35, 2)])
+    def test_traced_peak_holds_no_bit_table(self, d, seed):
+        # what the search keeps is M (n_h by 2^n_l floats) and about a
+        # dozen vectors of one float per high-half pattern: the bound is
+        # 3.9 + 3.1 MB at d = 30 and 35.7 + 12.6 MB at d = 35, and the
+        # search peaks at 5.8 and 45.3 MB.  Whole float bit tables, with
+        # their products and an |M| temporary, would peak at 16.8 and 132 MB
+        sigma = models.effective_bs(models.random_instance(d, seed)).Sigma
+        n_l = (d + 1) // 2
+        M_bytes = (d - n_l) * 8 << n_l
+        tracemalloc.start()
+        try:
+            linalg.best_binary_v(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M_bytes < peak < M_bytes + (12 * 8 << (d - n_l))
