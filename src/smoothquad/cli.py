@@ -291,23 +291,16 @@ def _mc_row(cfg, f):
     return lambda n: pricing.price_mc(f, n, rng)[0]
 
 
-def _covariance(cfg, model):
-    """Covariance whose smoothing a ``decomp`` report states and aSG+CS2 searches."""
-    if cfg.model == "vg":
-        return models.vg_base_matrix(model)
-    return models.effective_bs(model).Sigma
-
-
 def _methods(cfg, model):
     """Method table of a ``converge`` or ``vg`` sweep; building it prints nothing.
 
     Each sampling method maps to a pricer of a budget n, each adaptive
     one to a run ``run(tol, trace=hook)`` read by :func:`_checkpoints`.
-    The model sets the integrands and the covariance aSG+CS2 searches;
-    a ``vg`` aSG+CS2 run prints the direction it found.
+    The model sets the integrands; aSG+CS2 searches the covariance of
+    :func:`models.smoothing_split`, and a ``vg`` run prints the direction it found.
     """
     vg = cfg.model == "vg"
-    sigma = _covariance(cfg, model)
+    sigma = models.smoothing_split(model)[1]
     if vg:
         f_raw, g_cs = pricing.vg_raw_integrand(model), pricing.vg_smoothed_integrand(model)
         along = functools.partial(pricing.vg_smoothed_integrand, model)
@@ -435,7 +428,7 @@ def _sweep(cfg: ExperimentConfig, verb: str, trace) -> str:
         )
     model = build_instance(cfg)
     if kind == "vg":
-        lams = linalg.rank_one_reduce(_covariance(cfg, model)).lambda_sq
+        lams = linalg.rank_one_reduce(models.smoothing_split(model)[1]).lambda_sq
         print("lambda_sq " + "/".join(f"{x:.5f}" for x in lams))
     table = _methods(cfg, model)
     tol, reference = _reference_of(cfg, model)
@@ -453,16 +446,16 @@ def _sweep(cfg: ExperimentConfig, verb: str, trace) -> str:
 def report_decomposition(cfg: ExperimentConfig) -> str:
     """Smoothing report: eigenvalues for v = 1 and the best binary v.
 
-    For each v it also states what the smoothed integrand smooths:
-    :func:`pricing.weight_share` and lambda1 times that share.
+    For each v it also states what the smoothed integrand smooths: the
+    share sum(w v) / sum(w) of the weights w of :func:`models.smoothing_split`,
+    and lambda1 times that share.
     """
-    model = build_instance(cfg)
-    sigma = _covariance(cfg, model)
+    w, sigma = models.smoothing_split(build_instance(cfg))
     dec = linalg.rank_one_reduce(sigma)
     v, lam1_v = linalg.best_binary_v(sigma)
 
     def share(v, lam1_sq):
-        s = pricing.weight_share(model, v)
+        s = float(w @ v) / float(w.sum())
         return f"{s:.5f}, lambda1 x share {math.sqrt(lam1_sq) * s:.5f}"
 
     lines = [

@@ -176,7 +176,10 @@ def effective_bs(model: BlackScholesBasket) -> EffectiveProblem:
 
     The weights absorb the lognormal variance correction, w_i = c_i
     S0_i exp(-sigma_i^2 T / 2), and Sigma_ij = sigma_i sigma_j rho_ij T.
+    A Variance-Gamma basket has no such reduction and raises TypeError.
     """
+    if isinstance(model, VarianceGammaBasket):
+        raise TypeError("a Variance-Gamma basket has no Black-Scholes reduction")
     w = model.c * model.S0 * np.exp(-0.5 * model.sigma**2 * model.T)
     Sigma = np.outer(model.sigma, model.sigma) * model.rho * model.T
     return EffectiveProblem(w=w, Sigma=Sigma, K=model.K)
@@ -191,6 +194,20 @@ def vg_base_matrix(model: VarianceGammaBasket) -> np.ndarray:
     """
     base = np.outer(model.sigma, model.sigma) * model.rho
     return _frozen_matrix(base, "base covariance", model.d)
+
+
+def smoothing_split(model: BlackScholesBasket):
+    """``(w, Sigma)``: the weights the smoothed integrand splits and the covariance it smooths.
+
+    The one place the two models differ for smoothing.  Black-Scholes
+    takes :func:`effective_bs`'s w and Sigma; Variance-Gamma the forward
+    weights c_i S0_i e^{(r + omega_i) T} and :func:`vg_base_matrix`.
+    """
+    if not isinstance(model, VarianceGammaBasket):
+        prob = effective_bs(model)
+        return prob.w, prob.Sigma
+    w = model.c * model.S0 * np.exp((model.r + model.omegas()) * model.T)
+    return w, vg_base_matrix(model)
 
 
 def effective_vg(model: VarianceGammaBasket, y: float) -> EffectiveProblem:

@@ -29,7 +29,7 @@ from scipy.special import ndtr
 from . import linalg
 from .errors import OutOfDomain
 from .models import BlackScholesBasket, EffectiveProblem, VarianceGammaBasket
-from .models import effective_bs, vg_base_matrix
+from .models import effective_bs, smoothing_split
 from .rules1d import RuleSequence, genz_keister_sequence, laguerre_sequence
 from .sampling import RngSpec, SobolStream, inv_norm_cdf
 from .sparsegrid import (
@@ -512,26 +512,6 @@ def price_cv(
     return mean + mc_mean_se(residual, n, rng)[0]
 
 
-def _vg_forward_weights(model):
-    """Weights c_i S0_i e^{(r + omega_i) T} and the discount factor e^{-rT}."""
-    w = model.c * model.S0 * np.exp((model.r + model.omegas()) * model.T)
-    return w, math.exp(-model.r * model.T)
-
-
-def weight_share(model: BlackScholesBasket, v) -> float:
-    """Share ``sum(w v) / sum(w)`` of the basket weight that direction ``v`` selects.
-
-    ``w`` are the weights the smoothed integrand splits along ``v``:
-    ``effective_bs``'s for Black-Scholes, the forward weights for
-    Variance-Gamma.
-    """
-    if isinstance(model, VarianceGammaBasket):
-        w = _vg_forward_weights(model)[0]
-    else:
-        w = effective_bs(model).w
-    return float(w @ v) / float(w.sum())
-
-
 def _vg_law(model, dim):
     """Sampler and rule sequences of ``dim``-column (u, z) points, u ~ Gamma(T/nu, 1).
 
@@ -554,9 +534,10 @@ def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
     (decomposed once); y = 1 with theta = 0 is the Black-Scholes case.
     A binary direction v produces the shifted-strike variant.
     """
-    w, disc = _vg_forward_weights(model)
+    w, base = smoothing_split(model)
+    disc = math.exp(-model.r * model.T)
     w_sel, w_rest = _split_weights(w, v)
-    dec = linalg.rank_one_reduce(vg_base_matrix(model), v)
+    dec = linalg.rank_one_reduce(base, v)
     loadings = dec.V[:, 1:] * np.sqrt(dec.lambda_sq[1:])
     lam1_sq = dec.lambda_sq[0]
     lam1 = math.sqrt(lam1_sq)
@@ -581,8 +562,9 @@ def vg_smoothed_integrand(model: VarianceGammaBasket, v=None) -> Integrand:
 
 def vg_raw_integrand(model: VarianceGammaBasket) -> Integrand:
     """Kinked Variance-Gamma payoff over (u, z) in rotated coordinates, y = nu u."""
-    w, disc = _vg_forward_weights(model)
-    dec = linalg.rank_one_reduce(vg_base_matrix(model))
+    w, base = smoothing_split(model)
+    disc = math.exp(-model.r * model.T)
+    dec = linalg.rank_one_reduce(base)
     transform = dec.V * np.sqrt(dec.lambda_sq)
     theta = model.theta
     nu = model.nu
@@ -599,13 +581,13 @@ def vg_raw_integrand(model: VarianceGammaBasket) -> Integrand:
     return Integrand(model.d + 1, func, "VG-raw", *_vg_law(model, model.d + 1))
 
 
-def price_vg_smoothed(model: VarianceGammaBasket, tol: float, v=None, trace=None):
+def price_vg_smoothed(model: VarianceGammaBasket, tol: float, v=None):
     """Adaptive sparse-grid price of a Variance-Gamma basket at the default budget.
 
     :func:`price_asg` on :func:`vg_smoothed_integrand`, Laguerre rules in
     the Gamma variable; returns the estimate and the adaptive state.
     """
-    return price_asg(vg_smoothed_integrand(model, v), tol, trace=trace)
+    return price_asg(vg_smoothed_integrand(model, v), tol)
 
 
 def price_vg_mc(

@@ -194,6 +194,24 @@ class TestEffectiveBlackScholes:
             assert dec.lambda_sq[0] > 0.0
 
 
+def test_smoothing_split_of_each_model():
+    m = models.random_instance(6, 4)
+    w, sigma = models.smoothing_split(m)
+    eff = models.effective_bs(m)
+    np.testing.assert_array_equal(w, eff.w)
+    np.testing.assert_array_equal(sigma, eff.Sigma)
+    # Variance-Gamma: forward weights on the time-free base matrix, which
+    # the time change y tilts and scales to the effective problem given y
+    ex = models.VarianceGammaBasket(**{**vars(models.vg_example()), "r": 0.05})
+    w, sigma = models.smoothing_split(ex)
+    np.testing.assert_array_equal(w, ex.c * ex.S0 * np.exp((ex.r + ex.omegas()) * ex.T))
+    np.testing.assert_array_equal(sigma, models.vg_base_matrix(ex))
+    y = 0.7
+    eff = models.effective_vg(ex, y)
+    np.testing.assert_allclose(w * np.exp(ex.theta * y), eff.w, rtol=1e-14)
+    np.testing.assert_allclose(y * sigma, eff.Sigma, rtol=1e-15)
+
+
 class TestVarianceGamma:
     def test_worked_example_eigenvalues(self):
         ex = models.vg_example()

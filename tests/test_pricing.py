@@ -968,30 +968,34 @@ class TestVarianceGamma:
         np.testing.assert_allclose(value, expected, rtol=1e-6)
 
     def test_rescaled_decomposition_matches_fresh_one(self):
-        model = models.vg_example(modified=True)
         v = np.array([1.0, 1.0, 0.0])
-        g = pricing.vg_smoothed_integrand(model)
-        g2 = pricing.vg_smoothed_integrand(model, v=v)
-        f = pricing.vg_raw_integrand(model)
-        rng = np.random.default_rng(6)
-        rng_raw = np.random.default_rng(8)
-        for u in (0.4, 1.4, 3.8):
-            y = model.nu * u
-            zbar = rng.standard_normal((5, 2))
-            prob_y = models.effective_vg(model, y)
-            dec_y = linalg.rank_one_reduce(prob_y.Sigma)
-            g_y = pricing.smoothed_integrand(prob_y, dec_y)
-            pts = np.column_stack([np.full(5, u), zbar])
-            np.testing.assert_allclose(g(pts), g_y(zbar), rtol=1e-10)
-            g2_y = pricing.smoothed_integrand_v(
-                prob_y, v, linalg.rank_one_reduce(prob_y.Sigma, v)
-            )
-            np.testing.assert_allclose(g2(pts), g2_y(zbar), rtol=1e-10)
-            z = rng_raw.standard_normal((5, 3))
-            f_y = pricing.raw_integrand(prob_y, dec_y)
-            np.testing.assert_allclose(
-                f(np.column_stack([np.full(5, u), z])), f_y(z), rtol=1e-10
-            )
+        # the effective problem given y carries the rate in its weights
+        # and no discount, so at r > 0 the integrands differ by e^{-rT}
+        for r in (0.0, 0.05):
+            model = dataclasses.replace(models.vg_example(modified=True), r=r)
+            disc = math.exp(-r * model.T)
+            g = pricing.vg_smoothed_integrand(model)
+            g2 = pricing.vg_smoothed_integrand(model, v=v)
+            f = pricing.vg_raw_integrand(model)
+            rng = np.random.default_rng(6)
+            rng_raw = np.random.default_rng(8)
+            for u in (0.4, 1.4, 3.8):
+                y = model.nu * u
+                zbar = rng.standard_normal((5, 2))
+                prob_y = models.effective_vg(model, y)
+                dec_y = linalg.rank_one_reduce(prob_y.Sigma)
+                g_y = pricing.smoothed_integrand(prob_y, dec_y)
+                pts = np.column_stack([np.full(5, u), zbar])
+                np.testing.assert_allclose(g(pts), disc * g_y(zbar), rtol=1e-10)
+                g2_y = pricing.smoothed_integrand_v(
+                    prob_y, v, linalg.rank_one_reduce(prob_y.Sigma, v)
+                )
+                np.testing.assert_allclose(g2(pts), disc * g2_y(zbar), rtol=1e-10)
+                z = rng_raw.standard_normal((5, 3))
+                f_y = pricing.raw_integrand(prob_y, dec_y)
+                np.testing.assert_allclose(
+                    f(np.column_stack([np.full(5, u), z])), disc * f_y(z), rtol=1e-10
+                )
 
     def test_smoothed_and_raw_sampling_agree(self):
         model = models.vg_example(modified=True)
@@ -1172,6 +1176,14 @@ class TestReferencePrice:
         )
         ref, _ = pricing.reference_price(model)
         np.testing.assert_allclose(ref, bs_price(20.0, 18.0, 0.3), rtol=1e-14)
+
+    def test_variance_gamma_basket_is_refused(self):
+        # a VG basket is a BlackScholesBasket subclass; reducing it as
+        # one would price it without its time change
+        with pytest.raises(TypeError, match="Variance-Gamma"):
+            models.effective_bs(models.vg_example())
+        with pytest.raises(TypeError, match="Variance-Gamma"):
+            pricing.reference_price(models.vg_example())
 
     def test_reference_agrees_with_sampling(self):
         model = models.random_instance(5, 61)
