@@ -180,10 +180,20 @@ def _bit_rows(start: int, stop: int, n: int) -> np.ndarray:
 
 
 def _pieces(n: int):
-    """``(slice, rows)`` of ``{0,1}^n`` in order, ``_PIECE_ROWS`` rows at a time."""
-    for start in range(0, 1 << n, _PIECE_ROWS):
-        stop = min(start + _PIECE_ROWS, 1 << n)
-        yield slice(start, stop), _bit_rows(start, stop, n)
+    """``(slice, rows)`` of ``{0,1}^n`` in order, ``_PIECE_ROWS`` rows at a time.
+
+    Every piece is one buffer, valid until the next piece is made: the
+    bits below the piece size run through the same patterns in every
+    piece and are written once, and each piece writes only its higher
+    bits, which are constant within it.
+    """
+    rows = min(_PIECE_ROWS, 1 << n)
+    low = rows.bit_length() - 1
+    high = np.arange(low, n, dtype=np.uint32)
+    B = _bit_rows(0, rows, n)
+    for start in range(0, 1 << n, rows):
+        B[:, low:] = (start >> high) & 1
+        yield slice(start, start + rows), B
 
 
 def best_binary_v(sigma) -> tuple[np.ndarray, float]:

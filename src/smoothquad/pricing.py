@@ -111,7 +111,7 @@ def _bs_call_core(s0, k, sigma):
         np.minimum(price, s0, out=price)
         price[price < _PRICE_FLOOR] = 0.0
         live = (k > 0.0) & (sigma > 0.0) & (s0 > 0.0)
-        if not np.all(live):
+        if not live.all():
             np.copyto(price, np.where(k <= 0.0, s0 - k, intrinsic), where=~live)
     return price
 

@@ -7,14 +7,18 @@ differences are summed either over a fixed total-degree index set or
 adaptively, steered by the absolute value of each index's contribution.
 
 Integrands are batched: a callable receiving an (n, d) array of points
-and returning n values.  A tensor grid starts from a row of level-0
-nodes, made once per run, and expands only the coordinates with a
-positive level.  Each tensor-rule value Q_beta = w_beta . f(grid beta)
-is computed once and kept, keyed by its level tuple, so the difference
-for alpha is the signed sum of 2^k kept values (k the number of
-positive entries).  This holds for nested and non-nested rule sequences
-alike.  The adaptive loop calls the integrand once per accepted index,
-on the grids of all the children that index admits.
+and returning n values.  The grids of one call are built in one points
+array: every row starts as the row of level-0 nodes, made once per run,
+and each coordinate with a positive level is one strided write.  Each
+tensor-rule value Q_beta = w_beta . f(grid beta) is computed once and
+kept, keyed by its level tuple, so the difference for alpha is the
+signed sum of 2^k kept values (k the number of positive entries).  This
+holds for nested and non-nested rule sequences alike.  Grids and counts
+walk only the positive entries of a level tuple.  The adaptive loop
+calls the integrand once per accepted index, on the grids of all the
+children that index admits, and finds those children from one int
+bitmask per accepted index: the directions k whose forward neighbour
+alpha + e_k is accepted too.
 
 Two cost counts are kept.  ``evaluations`` counts the nodes of the 2^k
 difference grids of every index, repeats included, as if each
@@ -22,7 +26,8 @@ difference were evaluated on its own; it is what ``max_evals`` caps.
 The integrand itself sees sum over alpha of |grid(alpha)| points, and
 ``distinct_points`` counts the distinct nodes among them from
 per-coordinate counts of the nodes each level adds, without hashing
-rows.  The error estimate ``eta`` is an exact running sum.
+rows; a rule sequence's counts are made once per process.  The error
+estimate ``eta`` is an exact running sum.
 
 The total-degree-2 interpolant behind the control variate is kept as a
 closed-form polynomial in which each term touches at most two
@@ -35,6 +40,7 @@ import heapq
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,22 +69,41 @@ def _base_row(seqs):
     return np.array([seq.rule(0).nodes[0] for seq in seqs])
 
 
-def _tensor_block(levels, seqs, base):
-    """Nodes (prod N, d) and weights (prod N,) of one tensor rule.
+def _grid(levels, seqs):
+    """The (coordinate, rule) pairs of the positive coordinates of grid ``levels``."""
+    return [(j, seqs[j].rule(levels[j])) for j in itertools.compress(range(len(levels)), levels)]
 
-    Rows start as ``base``, the row of level-0 nodes, and only the
-    coordinates with a positive level are expanded, the first of them
-    slowest (meshgrid "ij" order).  Every level-0 rule is one node of
-    weight exactly 1 (the Christoffel weight 1 / p_0^2), so the weights
-    are the outer product of the expanded coordinates' weights alone.
+
+def _grid_points(grids, base):
+    """Nodes of the tensor grids ``grids`` in one (n, d) array, and each grid's weights.
+
+    Each grid is a list of (coordinate, rule) pairs, one per coordinate
+    with a positive level, in increasing coordinate order; the grids'
+    rows follow one another.  Every row starts as ``base``, the row of
+    level-0 nodes, and each listed coordinate is one strided write, the
+    first of them slowest (meshgrid "ij" order).  Every level-0 rule is
+    one node of weight exactly 1 (the Christoffel weight 1 / p_0^2), so
+    a grid's weights are the outer product of its listed coordinates'
+    weights alone.
     """
-    rules = [(j, seqs[j].rule(lv)) for j, lv in enumerate(levels) if lv]
-    pts = np.empty([len(r) for _, r in rules] + [base.shape[0]])
+    weights = [
+        functools.reduce(
+            np.multiply.outer, [r.weights for _, r in grid] or [np.ones(1)]
+        ).reshape(-1)
+        for grid in grids
+    ]
+    pts = np.empty((sum(w.size for w in weights), base.shape[0]))
     pts[...] = base
-    for i, (j, r) in enumerate(rules):
-        pts[..., j] = r.nodes.reshape((-1,) + (1,) * (len(rules) - 1 - i))
-    w = functools.reduce(np.multiply.outer, [r.weights for _, r in rules] or [np.ones(1)])
-    return pts.reshape(w.size, base.shape[0]), w.reshape(-1)
+    lo = 0
+    for grid, w in zip(grids, weights):
+        block = pts[lo : lo + w.size]
+        inner = w.size
+        for j, r in grid:
+            n = r.nodes.shape[0]
+            inner //= n
+            block.reshape(-1, n, inner, block.shape[1])[..., j] = r.nodes[:, None]
+        lo += w.size
+    return pts, weights
 
 
 def _evaluate(f, pts):
@@ -88,7 +113,7 @@ def _evaluate(f, pts):
             f"integrand returned {vals.shape[0]} values for {pts.shape[0]} points"
         )
     finite = np.isfinite(vals)
-    if not np.all(finite):
+    if not finite.all():
         where = int(np.argmin(finite))
         raise NonFiniteIntegrand(
             f"integrand returned {vals[where]}", node=tuple(pts[where])
@@ -96,21 +121,19 @@ def _evaluate(f, pts):
     return vals
 
 
-def _evaluate_grids(f, level_list, seqs, base):
-    """Evaluate ``f`` on the tensor grids of ``level_list`` in one call.
+def _evaluate_grids(f, grids, base):
+    """Evaluate ``f`` on the tensor grids ``grids`` (as in ``_grid_points``) in one call.
 
     Returns, per grid, its weights and values.
     """
-    blocks = [_tensor_block(levels, seqs, base) for levels in level_list]
-    pts = blocks[0][0] if len(blocks) == 1 else np.concatenate([p for p, _ in blocks])
+    pts, weights = _grid_points(grids, base)
     vals = _evaluate(f, pts)
-    grids = []
-    offset = 0
-    for _, w in blocks:
-        m = w.shape[0]
-        grids.append((w, vals[offset : offset + m]))
-        offset += m
-    return grids
+    out = []
+    lo = 0
+    for w in weights:
+        out.append((w, vals[lo : lo + w.size]))
+        lo += w.size
+    return out
 
 
 def _below(alpha):
@@ -127,11 +150,33 @@ def _signs(k):
     return signs
 
 
+# Per rule sequence, how many nodes each level adds to the union of the
+# lower levels, and that union's node bytes; counted level by level, once
+# per process, under a lock, so threads pricing at once share them
+_FRESH = {}
+_FRESH_LOCK = threading.Lock()
+
+
+def _fresh_nodes(seq, level):
+    """Nodes of ``seq.rule(level)`` that no lower level of ``seq`` has.
+
+    Nodes compare by their bytes, as distinct rows would.
+    """
+    with _FRESH_LOCK:
+        fresh, union = _FRESH.setdefault(seq, ([], set()))
+        while len(fresh) <= level:
+            nodes = set(seq.rule(len(fresh)).nodes.view(np.uint64).tolist())
+            fresh.append(len(nodes - union))
+            union |= nodes
+        return fresh[level]
+
+
 class _TensorValues:
     """Tensor-rule values Q_beta = w_beta . f(grid beta), each computed once.
 
     ``values`` maps a level tuple to Q_beta; ``base`` is the row of
-    level-0 nodes every grid starts from.
+    level-0 nodes every grid starts from.  Grids and counts walk only a
+    level tuple's positive coordinates.
     """
 
     def __init__(self, f, seqs):
@@ -145,9 +190,9 @@ class _TensorValues:
         """Evaluate the grids of ``level_list`` not kept yet, in one call."""
         missing = [levels for levels in level_list if levels not in self.values]
         if missing:
-            grids = _evaluate_grids(self.f, missing, self.seqs, self.base)
+            grids = _evaluate_grids(self.f, [_grid(lv, self.seqs) for lv in missing], self.base)
             for levels, (w, vals) in zip(missing, grids):
-                self.values[levels] = float(w @ vals)
+                self.values[levels] = float(w.dot(vals))
 
     def delta(self, alpha):
         """Difference value for ``alpha``, from the kept values below it."""
@@ -164,26 +209,21 @@ class _TensorValues:
         as in the adaptive loop.  A node of grid(alpha) that also lies in
         a registered grid beta lies in grid(min(alpha, beta)) too, so it
         is new exactly when each positive coordinate holds a node of its
-        level that no lower level of that coordinate has.  Nodes compare
-        by their bytes, as distinct rows would.
+        level that no lower level of that coordinate has.
         """
         size = new = 1
-        for seq, a in zip(self.seqs, alpha):
-            if a:
-                s, n = self._level_counts.get((seq, a)) or self._count_level(seq, a)
-                size *= s
-                new *= n
+        for j in itertools.compress(range(len(alpha)), alpha):
+            a = alpha[j]
+            counts = self._level_counts.get((j, a))
+            if counts is None:
+                seq = self.seqs[j]
+                counts = self._level_counts[(j, a)] = (
+                    seq.size(a) + seq.size(a - 1),
+                    _fresh_nodes(seq, a),
+                )
+            size *= counts[0]
+            new *= counts[1]
         return size, new
-
-    def _count_level(self, seq, level):
-        # keyed by the sequence, so coordinates that share one share the count
-        lower = set()
-        for lv in range(level):
-            lower.update(seq.rule(lv).nodes.view(np.uint64).tolist())
-        fresh = set(seq.rule(level).nodes.view(np.uint64).tolist()) - lower
-        counts = (seq.size(level) + seq.size(level - 1), len(fresh))
-        self._level_counts[(seq, level)] = counts
-        return counts
 
 
 def total_degree_indices(d, q):
@@ -247,31 +287,13 @@ class AdaptiveState:
             raise ValueError(f"eta {self.eta!r} differs from the active sum {total!r}")
 
 
-def admissible_children(alpha, old_set):
-    """Forward neighbors of ``alpha`` whose parents are all accepted.
-
-    A child alpha + e_k qualifies only if every backward neighbor is in
-    ``old_set``; with ``alpha`` itself just accepted this is the standard
-    admissibility check of the adaptive refinement rule.  The backward
-    neighbor along k is ``alpha``; along any other q it is alpha - e_q +
-    e_k, so only the positive coordinates of ``alpha`` need checking.
-    """
-    if alpha not in old_set:
-        return []
-    positive = [q for q, a in enumerate(alpha) if a]
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
     out = []
-    for k in range(len(alpha)):
-        ok = True
-        for q in positive:
-            if q != k:
-                parent = list(alpha)
-                parent[q] -= 1
-                parent[k] += 1
-                if tuple(parent) not in old_set:
-                    ok = False
-                    break
-        if ok:
-            out.append(alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :])
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -385,19 +407,34 @@ def adaptive_quadrature(
     add_indices([(0,) * d])
     state.eta = math.fsum(partials)
 
+    # per accepted index, the bits k whose forward neighbour alpha + e_k
+    # is accepted too
+    masks = {}
+    coords = range(d)
     forced = True
     while state.active and (forced or state.eta > tol):
         forced = False
         _, alpha = heapq.heappop(heap)
-        state.old_set.add(alpha)
-        children = admissible_children(alpha, state.old_set)
-        # only a coordinate where alpha is at its top level can take a child past it
-        if any(map(operator.ge, alpha, top)) and any(
-            any(map(operator.gt, child, top)) for child in children
-        ):
-            state.old_set.remove(alpha)
+        # alpha + e_k is admissible when alpha - e_q + e_k is accepted for
+        # every positive q: bit k of the mask of alpha - e_q, or alpha
+        # itself when q = k
+        parents = []
+        allowed = (1 << d) - 1
+        for q in itertools.compress(coords, alpha):
+            parent = alpha[:q] + (alpha[q] - 1,) + alpha[q + 1 :]
+            parents.append((parent, 1 << q))
+            allowed &= masks[parent] | 1 << q
+        ks = _bits(allowed)
+        # only a coordinate at its top level can take a child past it; alpha
+        # is not accepted yet, so the stop leaves no bit to clear
+        if any(alpha[k] >= top[k] for k in ks):
             state.status = "saturated"
             break
+        for parent, bit in parents:
+            masks[parent] |= bit
+        masks[alpha] = 0
+        state.old_set.add(alpha)
+        children = [alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :] for k in ks]
         g = state.active.pop(alpha)
         _add_exact(partials, -g)
         add_indices(children)
@@ -459,7 +496,7 @@ def interpolant_total_degree(f, d, q=2):
             coefficients[alpha] = float(c)
     seq = gauss_hermite_sequence()
     seqs = _seq_list(seq, d)
-    grids = _evaluate_grids(f, list(coefficients), seqs, _base_row(seqs))
+    grids = _evaluate_grids(f, [_grid(alpha, seqs) for alpha in coefficients], _base_row(seqs))
 
     # nodal values to monomial coefficients, for the 3- and 5-node rules
     inverse = {

@@ -15,7 +15,6 @@ from smoothquad.rules1d import (
 from smoothquad.sparsegrid import (
     AdaptiveState,
     adaptive_quadrature,
-    admissible_children,
     interpolant_total_degree,
     total_degree_indices,
 )
@@ -44,7 +43,7 @@ def grid_size(alpha, seq):
 
 
 def meshgrid_block(levels, seqs):
-    """The meshgrid construction of one tensor rule that _tensor_block replaced."""
+    """The meshgrid construction of one tensor rule, the reference for _grid_points."""
     rules = [seqs[j].rule(lv) for j, lv in enumerate(levels)]
     wide = [j for j, r in enumerate(rules) if len(r) > 1]
     single = math.prod(float(r.weights[0]) for r in rules if len(r) == 1)
@@ -60,7 +59,7 @@ def meshgrid_block(levels, seqs):
 
 
 def loop_children(alpha, old_set):
-    """admissible_children as the full d-by-d parent check."""
+    """The admissible children of ``alpha`` by the full d-by-d parent check."""
     out = []
     for k in range(len(alpha)):
         beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
@@ -309,7 +308,7 @@ class TestAdaptiveQuadrature:
         assert left_out == sum(
             beta not in indices
             for alpha in state.old_set
-            for beta in admissible_children(alpha, state.old_set)
+            for beta in loop_children(alpha, state.old_set)
         )
         rows = set()
         evaluations = 0
@@ -390,13 +389,13 @@ class TestTensorValuesKept:
 class TestAdmissibility:
     def test_refinement_frontier_replay(self):
         old = {(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)}
-        assert set(admissible_children((0, 2), old)) == {(0, 3), (1, 2)}
+        assert set(loop_children((0, 2), old)) == {(0, 3), (1, 2)}
         old2 = {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1)}
         # (2,2) fails the parent check because (1,2)... is missing
-        assert set(admissible_children((2, 1), old2)) == {(3, 1)}
+        assert set(loop_children((2, 1), old2)) == {(3, 1)}
 
     def test_root_children(self):
-        assert set(admissible_children((0, 0, 0), {(0, 0, 0)})) == {
+        assert set(loop_children((0, 0, 0), {(0, 0, 0)})) == {
             (1, 0, 0),
             (0, 1, 0),
             (0, 0, 1),
@@ -428,13 +427,28 @@ class TestAdmissibility:
                 state.verify()
 
     def test_trimmed_check_matches_full_parent_check(self):
-        # every index of a grown adaptive set, against the set at its end
-        f = lambda z: np.exp(0.3 * z[:, 0] + 0.2 * z[:, 1] - 0.4 * z[:, 2] + 0.1 * z[:, 3])
-        _, _, state = adaptive_quadrature(f, 4, 1e-10, GH)
-        for alpha in state.old_set | set(state.active):
-            assert admissible_children(alpha, state.old_set) == loop_children(
-                alpha, state.old_set
-            ), alpha
+        # each round admits, in order, the children the d-by-d check finds
+        # against the accepted set of that round; at each d one run is
+        # smooth and stops ok, the other has a kink in coordinate 0 and
+        # stops "saturated" at the top Genz-Keister level
+        gk = genz_keister_sequence()
+        for d, tol in ((3, 1e-13), (8, 1e-8), (25, 1e-5)):
+            c = np.linspace(1.0, -0.6, d) / math.sqrt(d)
+            smooth = lambda z: np.exp(z @ c)
+            kinked = lambda z: 1e-3 * np.abs(z[:, 0] - 0.1) + np.exp(z @ c)
+            for f, status in ((smooth, "ok"), (kinked, "saturated")):
+                seen = {(0,) * d}
+                rounds = []
+
+                def trace(state, alpha, g):
+                    admitted = [beta for beta in state.active if beta not in seen]
+                    rounds.append(admitted == loop_children(alpha, state.old_set))
+                    seen.update(admitted)
+
+                _, _, state = adaptive_quadrature(f, d, tol, gk, trace=trace)
+                assert state.status == status, (d, status)
+                assert len(rounds) == len(state.old_set) and all(rounds), d
+                state.verify()
 
 
 class TestBookkeeping:
@@ -489,13 +503,12 @@ class TestBookkeeping:
                 levels[j] = int(rng.integers(0, 4))
             level_list.append(tuple(levels))
         for seqs in families.values():
-            base = sparsegrid._base_row(seqs)
-            for levels in level_list:
-                pts, w = sparsegrid._tensor_block(levels, seqs, base)
-                ref_pts, ref_w = meshgrid_block(levels, seqs)
-                assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
-                assert pts.tobytes() == ref_pts.tobytes(), levels
-                assert w.tobytes() == ref_w.tobytes(), levels
+            grids = [sparsegrid._grid(levels, seqs) for levels in level_list]
+            pts, weights = sparsegrid._grid_points(grids, sparsegrid._base_row(seqs))
+            refs = [meshgrid_block(levels, seqs) for levels in level_list]
+            assert pts.tobytes() == np.concatenate([p for p, _ in refs]).tobytes()
+            for levels, w, (_, ref_w) in zip(level_list, weights, refs):
+                assert w.shape == ref_w.shape and w.tobytes() == ref_w.tobytes(), levels
 
 
 class TestInterpolant:
