@@ -10,6 +10,10 @@ y = nu u, handled by generalized Gauss-Laguerre differences; an
 integrand carries its sampler and rules.  Every smoothed builder maps
 its points to an exponent and shares one conditional-call kernel;
 Black-Scholes is the case y = 1, theta = 0.
+
+The kernel's normal CDF is ``scipy.special.ndtr``, taken from
+``sampling``, which loads it and ``ndtri`` without the rest of
+``scipy.special``.
 """
 
 import contextlib
@@ -24,14 +28,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import linalg
 from .errors import OutOfDomain
 from .models import BlackScholesBasket, EffectiveProblem, VarianceGammaBasket
 from .models import effective_bs, smoothing_split
 from .rules1d import RuleSequence, genz_keister_sequence, laguerre_sequence
-from .sampling import RngSpec, SobolStream, inv_norm_cdf
+from .sampling import RngSpec, SobolStream, inv_norm_cdf, ndtr
 from .sparsegrid import (
     DEFAULT_MAX_EVALS,
     adaptive_quadrature,

@@ -9,23 +9,77 @@ all-zeros index is skipped so every coordinate lies strictly inside
 (0, 1).  The inverse normal transform is ``scipy.special.ndtri`` behind
 a domain check.
 
+This module loads the package's two special functions, ``ndtri`` here
+and ``ndtr`` for ``pricing``, once at import, straight from scipy's
+compiled ``scipy.special._ufuncs``.  Running ``scipy/special/__init__.py``
+would also load scipy's array-API layer, which imports ``numpy.testing``
+and ``numpy.f2py`` and about doubles the package's import time.  The
+objects are the ufuncs ``scipy.special`` exports by default, so no value
+differs, and a later ``import scipy.special`` completes the package
+around them.
+
 Pseudo-random sampling goes through counter-based Philox streams keyed
 by (base_seed, stream_id), so runs are reproducible under any thread
 scheduling: the same spec always yields the same draws.
 """
 
 import functools
+import importlib
 import operator
+import os
+import sys
+import types
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._sobol_table import DIRECTION_DATA, SOBOL_MAX_DIM
 from .errors import DimensionTooLarge, OutOfDomain
 
 _BITS = 32
 _SCALE = float(2.0**-_BITS)
+
+
+def _scipy_ufuncs():
+    """``scipy.special``'s ``ndtr`` and ``ndtri``, without its ``__init__``.
+
+    They are taken from ``scipy.special._ufuncs`` on every path, so they
+    are the plain ufuncs whatever was imported first, even where
+    ``SCIPY_ARRAY_API=1`` makes ``scipy.special`` export wrappers.  A
+    loaded ``_ufuncs`` is used as it is.  Otherwise a bare
+    ``scipy.special`` module, holding only the directory as its
+    ``__path__``, stands in while ``_ufuncs`` loads, so the extension
+    finds its compiled siblings there; the stand-in is then removed.  A
+    scipy whose extensions need more than that gets the package
+    imported in full.
+    """
+    ufuncs = sys.modules.get("scipy.special._ufuncs")
+    if ufuncs is None:
+        try:
+            ufuncs = _load_ufuncs_module()
+        except ImportError:
+            from scipy.special import _ufuncs as ufuncs
+    return ufuncs.ndtr, ufuncs.ndtri
+
+
+def _load_ufuncs_module():
+    import scipy
+
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+    sys.modules["scipy.special"] = stub
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        # scipy's module __getattr__ imports any submodule it is asked for,
+        # so the stub is looked up in the dicts, never as an attribute
+        if sys.modules.get("scipy.special") is stub:
+            del sys.modules["scipy.special"]
+        if scipy.__dict__.get("special") is stub:
+            del scipy.__dict__["special"]
+
+
+ndtr, ndtri = _scipy_ufuncs()
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import ndtr
 
 from smoothquad import linalg, models, pricing, rules1d
@@ -100,25 +101,30 @@ def sobol_normal_draw(dim):
 
 
 class TestNormCdf:
+    """``pricing.ndtr``, the normal CDF the Black-Scholes kernel calls."""
+
+    def test_is_scipys_ufunc(self):
+        assert pricing.ndtr is scipy.special.ndtr
+
     def test_center_and_symmetry(self):
-        assert ndtr(0.0) == 0.5
+        assert pricing.ndtr(0.0) == 0.5
         for x in (0.3, 1.0, 2.5):
             np.testing.assert_allclose(
-                ndtr(x) + ndtr(-x), 1.0, rtol=1e-15
+                pricing.ndtr(x) + pricing.ndtr(-x), 1.0, rtol=1e-15
             )
 
     def test_reference_value(self):
         np.testing.assert_allclose(
-            ndtr(1.96), 0.9750021048517795, rtol=1e-14
+            pricing.ndtr(1.96), 0.9750021048517795, rtol=1e-14
         )
 
     def test_scalar_comes_back_as_float(self):
-        out = ndtr(0.7)
+        out = pricing.ndtr(0.7)
         assert isinstance(out, float)
 
     def test_array_input(self):
         x = np.array([-1.0, 0.0, 1.0])
-        out = ndtr(x)
+        out = pricing.ndtr(x)
         assert out.shape == (3,)
         np.testing.assert_allclose(out[1], 0.5, rtol=1e-15)
 

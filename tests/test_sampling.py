@@ -1,6 +1,11 @@
 """Sobol sequences, the inverse normal map, and seeded random streams."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +202,98 @@ class TestInvNormCdf:
     def test_scalar_in_scalar_out(self):
         assert isinstance(sampling.inv_norm_cdf(0.25), float)
         assert sampling.inv_norm_cdf(np.array([0.25, 0.5])).shape == (2,)
+
+
+def run_fresh(code, **env_vars):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sampling.__file__).parents[1]), **env_vars}
+    run = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+class TestUfuncLoading:
+    """``ndtr`` and ``ndtri`` come from scipy without ``scipy.special``'s ``__init__``."""
+
+    def test_package_import_skips_the_special_package(self):
+        run_fresh("""
+            import sys
+
+            from smoothquad import pricing, sampling
+            import scipy
+
+            assert "scipy.special" not in sys.modules
+            assert "scipy._lib._array_api" not in sys.modules
+            assert "special" not in scipy.__dict__
+
+            import scipy.special
+
+            assert sys.modules["scipy.special"] is scipy.__dict__["special"] is scipy.special
+            assert hasattr(scipy.special, "roots_hermitenorm")
+            assert scipy.special.ndtr is pricing.ndtr
+            assert scipy.special.ndtri is sampling.ndtri
+        """)
+
+    def test_a_loaded_special_package_is_reused(self):
+        run_fresh("""
+            import sys
+
+            import scipy
+            import scipy.special
+
+            special = scipy.special
+            from smoothquad import pricing, sampling
+
+            assert sys.modules["scipy.special"] is scipy.__dict__["special"] is special
+            assert pricing.ndtr is special.ndtr
+            assert sampling.ndtri is special.ndtri
+        """)
+
+    def test_array_api_wrappers_are_not_taken(self):
+        # with SCIPY_ARRAY_API=1 scipy.special exports Python wrappers of the ufuncs
+        run_fresh("""
+            import numpy as np
+            import scipy.special
+
+            from smoothquad import pricing, sampling
+
+            assert scipy.special.ndtr is not scipy.special._ufuncs.ndtr
+            assert pricing.ndtr is scipy.special._ufuncs.ndtr
+            assert sampling.ndtri is scipy.special._ufuncs.ndtri
+            assert isinstance(pricing.ndtr, np.ufunc)
+        """, SCIPY_ARRAY_API="1")
+
+    def test_a_failed_lean_load_imports_the_whole_package(self):
+        run_fresh("""
+            import importlib.abc
+            import sys
+
+            refused = []
+
+            class RefuseLeanLoad(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path, target=None):
+                    parent = sys.modules.get("scipy.special")
+                    if name == "scipy.special._ufuncs" and not hasattr(parent, "__file__"):
+                        refused.append(name)
+                        raise ImportError("refused")
+                    return None
+
+            sys.meta_path.insert(0, RefuseLeanLoad())
+            from smoothquad import pricing, sampling
+            import scipy
+
+            assert refused == ["scipy.special._ufuncs"]
+            special = sys.modules["scipy.special"]
+            assert scipy.__dict__["special"] is special
+            assert hasattr(special, "__file__") and hasattr(special, "roots_hermitenorm")
+            assert pricing.ndtr is special.ndtr
+            assert sampling.ndtri is special.ndtri
+        """)
 
 
 class TestRngStreams:
