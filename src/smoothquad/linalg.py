@@ -4,14 +4,15 @@
 ``v`` and a positive semidefinite remainder, ``lambda1_sq`` scores one
 direction and ``best_binary_v`` searches all 2^d binary ones, enumerating
 each half of the coordinates once and joining the halves with one
-matrix product per block of bit patterns; no table of the patterns is
-held whole.  A lower bound per pattern of the high half skips every
-block whose values all lie above one already computed, so the search
-returns what the full enumeration would.  The Cholesky factor and the
-eigendecomposition are numpy's LAPACK calls; eigenvector signs are fixed
-by a rule because LAPACK leaves them arbitrary.  Dimension is capped at
-35.  ``finite`` and ``symmetric`` check every array where it enters this
-module and ``models``.
+matrix product per block of bit patterns; neither a table of the
+patterns nor the join's matrix is held whole.  A lower bound per cell,
+a piece of one half's patterns against a piece of the other's, skips
+every block whose values all lie above one already computed, so the
+search returns what the full enumeration would.  The Cholesky factor
+and the eigendecomposition are numpy's LAPACK calls; eigenvector signs
+are fixed by a rule because LAPACK leaves them arbitrary.  Dimension is
+capped at 35.  ``finite`` and ``symmetric`` check every array where it
+enters this module and ``models``.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import DimensionTooLarge, NotPositiveDefinite, ZeroVector
 
 MAX_DIM = 35
-# entries of one block of the binary search (512 KB of float64)
+# entries of one product of the binary search (512 KB of float64); a
+# block has the rows that a product this size over every low half has
 _BLOCK_ENTRIES = 1 << 16
 # rows of one piece of a bit-pattern table (at most 18 columns, 147 KB of
 # float64); more than one, so a piece takes the products a whole table does
@@ -179,21 +181,22 @@ def _bit_rows(start: int, stop: int, n: int) -> np.ndarray:
     return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(float)
 
 
-def _pieces(n: int):
-    """``(slice, rows)`` of ``{0,1}^n`` in order, ``_PIECE_ROWS`` rows at a time.
+def _pieces(n: int, rows: int, starts=None):
+    """``(start, rows)`` of ``{0,1}^n``, ``rows`` (a power of two) at a time.
 
-    Every piece is one buffer, valid until the next piece is made: the
-    bits below the piece size run through the same patterns in every
-    piece and are written once, and each piece writes only its higher
-    bits, which are constant within it.
+    The pieces begin at each of ``starts`` (multiples of ``rows``; by
+    default every one, in order).  Every piece is one buffer, valid
+    until the next piece is made: the bits below the piece size run
+    through the same patterns in every piece and are written once, and
+    each piece writes only its higher bits, which are constant within it.
     """
-    rows = min(_PIECE_ROWS, 1 << n)
+    rows = min(rows, 1 << n)
     low = rows.bit_length() - 1
     high = np.arange(low, n, dtype=np.uint32)
     B = _bit_rows(0, rows, n)
-    for start in range(0, 1 << n, rows):
-        B[:, low:] = (start >> high) & 1
-        yield slice(start, start + rows), B
+    for start in range(0, 1 << n, rows) if starts is None else starts:
+        B[:, low:] = (int(start) >> high) & 1
+        yield int(start), B
 
 
 def best_binary_v(sigma) -> tuple[np.ndarray, float]:
@@ -206,37 +209,56 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     ``d - n_l``; with ``m = (h << n_l) | l``,
     ``q(m) = q_h[h] + q_l[l] + (B_h M)[h, l]``, where ``B_l`` and ``B_h``
     enumerate each half, ``q_l`` and ``q_h`` are their own quadratic
-    forms and ``M = 2 P_hl B_l^T``.  Blocks of consecutive ``h`` cost one
-    matrix product each.  Row-major order over ``(h, l)`` is increasing
-    ``m``; the flat argmin of a block, and the smaller ``m`` across
-    blocks, break ties of the computed ``q`` towards the smallest
-    integer whose bit ``i`` equals ``v_i``.  Patterns whose ``q`` tie in
-    exact arithmetic can round apart, and then the least rounded value
-    wins: on the equicorrelated ``rho = 0.5`` covariance at ``d = 12``
-    every single bit ties with the all-ones vector, and the search
-    returns ``e_2``.
+    forms and ``M = 2 P_hl B_l^T``.  A block of ``rows`` consecutive
+    ``h`` (``_BLOCK_ENTRIES >> n_l``, at least one) against a piece of
+    ``_PIECE_ROWS`` consecutive ``l`` costs one matrix product, of one
+    or more blocks in increasing ``h``.  Its flat argmin, and the
+    smaller ``m`` across products, break ties of the computed ``q``
+    towards the smallest integer whose bit ``i`` equals ``v_i``.
+    Patterns whose ``q`` tie in exact arithmetic can round apart, and
+    then the least rounded value wins: on the equicorrelated
+    ``rho = 0.5`` covariance at ``d = 12`` every single bit ties with
+    the all-ones vector, and the search returns ``e_2``.
 
-    Only the blocks that can hold the minimum are evaluated.  Every
-    ``q(m)`` with high half ``h`` is at least
-    ``q_h[h] + min q_l + sum_i B_h[h, i] min_l M[i, l]``; from that bound
-    is taken a slack of ``1e-9 * (|q_h[h]| + max |q_l| +
-    sum_i B_h[h, i] max_l |M[i, l]|)``, far above the rounding of either
-    side.  Blocks are evaluated in increasing order of their least
-    bound, and the search stops at the first block whose least bound
-    lies above the best ``q`` found so far.  A skipped block holds only
-    values above one already computed, so the winner, its tie-break and
-    its ``q`` are those of the full enumeration, and the blocks
-    evaluated are exactly those whose least bound is at most the
-    winner's ``q``.
+    Only the blocks that can hold the minimum are evaluated.  The search
+    starts from the best pattern within one half, whose ``q`` the join
+    gives exactly: ``q_l[l]`` or ``q_h[h]``.  A cell is a piece of
+    ``_PIECE_ROWS`` patterns ``h`` (one block, if that is more) against
+    a piece ``p`` of ``l``.  Every ``q(m)`` in it with high half ``h`` is
+    at least ``q_h[h] + min_p q_l + sum_i B_h[h, i] min_p M[i, :]``, both
+    minima over the piece's own ``l``; from that bound is taken a slack
+    of ``1e-9 * (|q_h[h]| + max |q_l| + sum_i B_h[h, i] max |M[i, :]|)``,
+    far above the rounding of either side.  A cell keeps the least of
+    its bounds, over the ``h`` whose bound with the minima over all
+    ``l`` is at most the starting ``q`` (the others hold nothing lower).
+    Cells are evaluated in increasing order of that least bound, and the
+    search stops at the first cell whose least bound lies above the best
+    ``q`` found so far; within a cell, its blocks do the same.  A skipped
+    block holds only values above one already computed, so the winner,
+    its tie-break and its ``q`` are those of the full enumeration.
 
-    No table of bit patterns is held whole: ``B_l`` and ``B_h`` are made
-    ``_PIECE_ROWS`` rows at a time, and a block's rows of ``B_h`` when it
-    is evaluated.  What the search keeps is ``M`` (``d - n_l`` by
-    ``2^n_l``, 36 MB at ``d = 35``) and one float per pattern of each
-    half (``q_l``, ``q_h`` and the bound).  A piece of more than one row
-    takes the same BLAS matrix product as a whole table, so every entry
-    is the double a whole table gives (a one-row piece would be a
-    matrix-vector product, which can round apart).
+    Minima over all ``l`` at once bound loosely where ``P`` couples the
+    halves strongly, since the ``l`` that minimizes ``q_l`` seldom
+    minimizes a row of ``M``; a piece's own minima do not (bounds of
+    this kind on ``min b^T P b`` over binary ``b``: Pardalos & Rodgers,
+    Computing 45, 1990).  On seeds 0-19 of ``random_instance(35, seed)``
+    the search takes at most 0.06 s and evaluates at most two blocks of
+    one ``h`` against 1,024 ``l``.  One bound per ``h`` took up to 100 s
+    there (seed 4), evaluating 65,538 blocks of one ``h`` against all
+    262,144 ``l``.
+
+    Neither the bit tables nor ``M`` are held whole: the halves'
+    patterns are made a piece at a time, and a cell makes its ``h``
+    rows, its ``l`` piece and that piece's columns of ``M`` when it is
+    evaluated.  What the search keeps is ``q_l``, ``q_h`` and ``q_h``
+    less the slack, a float per piece of ``l`` (``min_p q_l``) and per
+    cell, ``min_p M[i, :]`` for each ``i`` and piece, and, while the
+    bounds are made, the low bits' share of one piece of ``h`` against
+    every piece of ``l``: 8.2 MB at ``d = 35``, where ``M`` alone would
+    be 35.7 MB.  A block's product has the shape of the whole-``M``
+    product over the same ``rows``, with fewer columns, and on every
+    covariance checked it gives every entry the same double (a one-row
+    block is a matrix-vector product, and so is the whole-``M`` one).
 
     Raises
     ------
@@ -253,47 +275,100 @@ def best_binary_v(sigma) -> tuple[np.ndarray, float]:
     n_l = (n + 1) // 2
     n_h = n - n_l
     P_l, P_h, P_hl = P[:n_l, :n_l], P[n_l:, n_l:], 2.0 * P[n_l:, :n_l]
+    # the low half a piece at a time: q_l, and each piece's minima of q_l
+    # and of every row of its columns of M, which is then dropped
+    width = min(_PIECE_ROWS, 1 << n_l)
+    n_p = (1 << n_l) // width
     q_l = np.empty(1 << n_l)
-    M = np.empty((n_h, 1 << n_l))
-    for piece, B in _pieces(n_l):
-        q_l[piece] = np.einsum("ij,ij->i", B @ P_l, B)
-        M[:, piece] = P_hl @ B.T
-    rows = max(1, _BLOCK_ENTRIES >> n_l)
+    M_min = np.empty((n_h, n_p))
+    M_max = np.empty((n_h, n_p))
+    for l0, B in _pieces(n_l, width):
+        q_l[l0 : l0 + width] = np.einsum("ij,ij->i", B @ P_l, B)
+        M = P_hl @ B.T
+        M.min(axis=1, out=M_min[:, l0 // width])
+        M.max(axis=1, out=M_max[:, l0 // width])
+    q_l_min = q_l.reshape(n_p, width).min(axis=1)
+    q_l_least, M_row_min = q_l_min.min(), M_min.min(axis=1)
+    # max |x| is max(max x, -min x)
+    q_l_abs = max(q_l.max(), -q_l_least)
+    M_abs = np.maximum(M_max.max(axis=1), -M_row_min)
 
-    def block_min(h0):
-        quad = _bit_rows(h0, min(h0 + rows, 1 << n_h), n_h) @ M
-        quad += q_h[h0 : h0 + rows, None]
-        quad += q_l
-        if h0 == 0:
-            quad[0, 0] = np.inf  # m = 0 is not a direction
-        k = int(np.argmin(quad))
-        return float(quad.flat[k]), (h0 << n_l) + k
-
-    # lower bound of every q(m) with high half h, less a slack far above
-    # the rounding of either side, so no skipped block can hold a value
-    # at or below one already computed; max |x| is max(max x, -min x)
-    M_min, M_max = M.min(axis=1), M.max(axis=1)
-    M_abs = np.maximum(M_max, -M_min)
-    q_l_min = q_l.min()
-    q_l_abs = max(q_l.max(), -q_l_min)
+    # a block's rows, and a cell's: a piece of h or one block
+    rows = min(max(1, _BLOCK_ENTRIES >> n_l), 1 << n_h)
+    height = max(min(_PIECE_ROWS, 1 << n_h), rows)
     q_h = np.empty(1 << n_h)
-    bound = np.empty(1 << n_h)
-    for piece, B in _pieces(n_h):
+    floor = np.empty(1 << n_h)  # q_h less the slack of its bounds
+    for h0, B in _pieces(n_h, height):
         q = np.einsum("ij,ij->i", B @ P_h, B)
-        q_h[piece] = q
-        low = q + q_l_min + B @ M_min
-        low -= 1e-9 * (np.abs(q) + q_l_abs + B @ M_abs)
-        bound[piece] = low
-    starts = np.arange(0, 1 << n_h, rows)
-    lows = np.minimum.reduceat(bound, starts)
-    best_q = np.inf
-    best_m = -1
-    for i in np.argsort(lows, kind="stable"):
-        if lows[i] > best_q:
-            break  # this block and every later one lie above best_q
-        q, m = block_min(int(starts[i]))
-        # on equal q the smaller integer wins, whichever block came first
-        if q < best_q or (q == best_q and m < best_m):
-            best_q, best_m = q, m
+        q_h[h0 : h0 + height] = q
+        floor[h0 : h0 + height] = q - 1e-9 * (np.abs(q) + q_l_abs + B @ M_abs)
+
+    # the search starts from the best pattern within one half: the join
+    # gives q(l) = q_l[l] and q(h << n_l) = q_h[h] exactly, since a zero
+    # row of B_h or a zero column of M adds only zeros; on equal q the
+    # low half's pattern is the smaller integer
+    best_m = 1 + int(np.argmin(q_l[1:]))
+    best_q = float(q_l[best_m])
+    if n_h:
+        h = 1 + int(np.argmin(q_h[1:]))
+        if q_h[h] < best_q:
+            best_q, best_m = float(q_h[h]), h << n_l
+
+    # the least lower bound of every cell, over its h whose bound with
+    # the minima over all l is at most best_q (the others hold nothing
+    # lower), the slack taken so no skipped block can hold a value at or
+    # below one already computed.  B_h[h] @ M_min splits into the bits
+    # that run through every piece of h, the same product in each, and
+    # the piece's constant higher bits
+    low_bits = height.bit_length() - 1
+    M_min_low = _bit_rows(0, height, low_bits) @ M_min[:low_bits]
+    cell_low = np.full(((1 << n_h) // height, n_p), np.inf)
+    for h0, B in _pieces(n_h, height):
+        top = floor[h0 : h0 + height]
+        keep = np.flatnonzero(top + q_l_least + B @ M_row_min <= best_q)
+        if keep.size:
+            low = M_min_low[keep]
+            low += top[keep, None]
+            cell_low[h0 // height] = low.min(axis=0) + B[0] @ M_min
+            del low  # not held while the next piece's is made
+    cell_low += q_l_min
+    cell_low = cell_low.ravel()
+
+    # cells in increasing order of their least bound; in each, blocks in
+    # increasing order of theirs, as many to a product as _BLOCK_ENTRIES
+    # holds
+    per_product = max(1, _BLOCK_ENTRIES // (rows * width))
+    order = np.argsort(cell_low, kind="stable")
+    h_pieces = _pieces(n_h, height, order // n_p * height)
+    l_pieces = _pieces(n_l, width, order % n_p * width)
+    for c, (h0, B_h), (l0, B_l) in zip(order, h_pieces, l_pieces):
+        if cell_low[c] > best_q:
+            break  # this cell and every later one lie above best_q
+        p = l0 // width
+        M = P_hl @ B_l.T
+        low = floor[h0 : h0 + height] + B_h @ M_min[:, p]
+        low = low.reshape(-1, rows).min(axis=1) + q_l_min[p]
+        B_h = B_h.reshape(height // rows, rows, n_h)
+        q_hb = q_h[h0 : h0 + height].reshape(-1, rows, 1)
+        blocks = np.argsort(low, kind="stable")
+        for j in range(0, blocks.size, per_product):
+            chunk = blocks[j : j + per_product]
+            # in increasing h, so the flat argmin is the smallest m
+            chunk = np.sort(chunk[low[chunk] <= best_q])
+            if chunk.size == 0:
+                break  # these blocks and every later one lie above best_q
+            quad = B_h[chunk] @ M
+            quad += q_hb[chunk]
+            quad += q_l[l0 : l0 + width]
+            if h0 == l0 == chunk[0] == 0:
+                quad[0, 0, 0] = np.inf  # m = 0 is not a direction
+            k = int(np.argmin(quad))
+            block, k = divmod(k, rows * width)
+            row, col = divmod(k, width)
+            q = float(quad[block, row, col])
+            m = ((h0 + int(chunk[block]) * rows + row) << n_l) + l0 + col
+            # on equal q the smaller integer wins, whichever came first
+            if q < best_q or (q == best_q and m < best_m):
+                best_q, best_m = q, m
     v = ((best_m >> np.arange(n)) & 1).astype(float)
     return v, 1.0 / best_q

@@ -15,8 +15,8 @@ compiled ``scipy.special._ufuncs``.  Running ``scipy/special/__init__.py``
 would also load scipy's array-API layer, which imports ``numpy.testing``
 and ``numpy.f2py`` and about doubles the package's import time.  The
 objects are the ufuncs ``scipy.special`` exports by default, so no value
-differs, and a later ``import scipy.special`` completes the package
-around them.
+differs, and a later ``import scipy.special`` builds the package around
+them with every name a plain import gives but ``_ufuncs_cxx``.
 
 Pseudo-random sampling goes through counter-based Philox streams keyed
 by (base_seed, stream_id), so runs are reproducible under any thread
@@ -49,9 +49,13 @@ def _scipy_ufuncs():
     loaded ``_ufuncs`` is used as it is.  Otherwise a bare
     ``scipy.special`` module, holding only the directory as its
     ``__path__``, stands in while ``_ufuncs`` loads, so the extension
-    finds its compiled siblings there; the stand-in is then removed.  A
-    scipy whose extensions need more than that gets the package
-    imported in full.
+    finds its compiled siblings there; the stand-in and every submodule
+    loaded under it are then removed from ``sys.modules``.  A later
+    ``import scipy.special`` finds them missing and imports them again,
+    so its namespace is the one a plain import gives, short of
+    ``_ufuncs_cxx``: only ``_ufuncs``'s first run imports that, and an
+    extension module is not run twice in a process.  A scipy whose
+    extensions need more than that gets the package imported in full.
     """
     ufuncs = sys.modules.get("scipy.special._ufuncs")
     if ufuncs is None:
@@ -65,12 +69,18 @@ def _scipy_ufuncs():
 def _load_ufuncs_module():
     import scipy
 
+    loaded = set(sys.modules)
     stub = types.ModuleType("scipy.special")
     stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
     sys.modules["scipy.special"] = stub
     try:
         return importlib.import_module("scipy.special._ufuncs")
     finally:
+        # the submodules loaded under the stub are forgotten too, so a later
+        # import of scipy.special imports them as its own attributes
+        for name in set(sys.modules) - loaded:
+            if name.startswith("scipy.special."):
+                del sys.modules[name]
         # scipy's module __getattr__ imports any submodule it is asked for,
         # so the stub is looked up in the dicts, never as an attribute
         if sys.modules.get("scipy.special") is stub:

@@ -285,6 +285,15 @@ _TIED_SIGMAS = {
 }
 
 
+def _pair_across_halves(d):
+    """A strongly correlated pair at the split of the halves wins; the best
+    pattern within one half, where the search starts, does not."""
+    n_l = (d + 1) // 2
+    sigma = 0.05 * random_spd(np.random.default_rng(d), d, jitter=20.0)
+    sigma[n_l - 1 : n_l + 1, n_l - 1 : n_l + 1] += [[4.0, 3.6], [3.6, 4.0]]
+    return sigma
+
+
 class TestBestBinaryV:
     def test_identity_tie_break(self):
         v, lam = linalg.best_binary_v(np.eye(4))
@@ -355,23 +364,45 @@ class TestBestBinaryV:
         assert lam == 0.04191258545910668
 
     def test_benchmark_instance_evaluates_only_blocks_below_the_winner(self, monkeypatch):
-        # each evaluated block takes one argmin; on this instance 9 of the
-        # 512 blocks have a least bound at or below the winner's q
-        blocks = []
+        # each product takes one argmin over its (blocks, rows, l) array.
+        # One bound per h evaluated 9 blocks of 8 h against all 8,192 l
+        # (589,824 entries); the bound per cell leaves two blocks of 8 h
+        # against one piece of 1,024 l
+        products = []
 
         class CountingNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def argmin(self, a, *args, **kwargs):
-                blocks.append(a.shape)
+                if a.ndim == 3:
+                    products.append(a.shape)
                 return np.argmin(a, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "np", CountingNumpy())
         sigma = models.effective_bs(models.random_instance(25, 2)).Sigma
         _, lam = linalg.best_binary_v(sigma)
         assert lam == 0.04191258545910668
-        assert blocks == [(8, 8192)] * 9
+        assert all(shape[1:] == (8, linalg._PIECE_ROWS) for shape in products)
+        entries = sum(math.prod(shape) for shape in products)
+        assert entries == 2 * 8 * 1024 <= 9 * 8 * 8192
+
+    @pytest.mark.parametrize(
+        "d, seed, ones, lam_hex",
+        [
+            # one bound per h evaluated 8,192, 65,538 and 32,770 blocks here
+            (30, 2, [28, 29], "0x1.5377b69d4b3fbp-5"),
+            (35, 4, [32, 33, 34], "0x1.9ecc1837349dcp-5"),
+            (35, 8, [32, 33, 34], "0x1.43fc24ef2506ap-5"),
+        ],
+    )
+    def test_strongly_coupled_instances(self, d, seed, ones, lam_hex):
+        # where P couples the halves strongly; v and the bits of
+        # lambda1_sq are those the full enumeration gives
+        sigma = models.effective_bs(models.random_instance(d, seed)).Sigma
+        v, lam = linalg.best_binary_v(sigma)
+        np.testing.assert_array_equal(np.flatnonzero(v), ones)
+        assert lam.hex() == lam_hex
 
     def test_lower_bound_smallest_eigenvalue(self):
         # the best binary direction is never worse than the smallest
@@ -396,6 +427,8 @@ class TestBestBinaryV:
             ("equicorrelated+0.5", 12, (linalg._PIECE_ROWS, 2)),
             (1, 20, (linalg._PIECE_ROWS, 16)),
             (2, 25, (linalg._PIECE_ROWS,)),
+            ("pair-across-halves", 20, (linalg._PIECE_ROWS, 16)),
+            ("pair-across-halves", 25, (linalg._PIECE_ROWS, 64)),
         ],
     )
     def test_pieces_match_the_unpruned_join(self, monkeypatch, case, d, pieces):
@@ -403,14 +436,21 @@ class TestBestBinaryV:
         # whole tables give: the same v and the same bits of lambda1_sq.
         # At d = 25 the 1,024-row pieces split both halves; the smaller
         # patched sizes split them at d = 12 and 20 (a one-row piece would
-        # be a matrix-vector product, which can round apart)
+        # be a matrix-vector product, which can round apart).  Where a pair
+        # across the split wins, the search has to leave the best pattern
+        # within one half that it starts from, among many cells
         if case in _TIED_SIGMAS:
             sigma = _TIED_SIGMAS[case](d)
+        elif case == "pair-across-halves":
+            sigma = _pair_across_halves(d)
         else:
             sigma = models.effective_bs(models.random_instance(d, case)).Sigma
         v_join, lam_join = _joined_best_binary_v(sigma)
         if case == "equicorrelated+0.5":
             np.testing.assert_array_equal(v_join, np.eye(d)[2])
+        if case == "pair-across-halves":
+            n_l = (d + 1) // 2
+            np.testing.assert_array_equal(np.flatnonzero(v_join), [n_l - 1, n_l])
         for rows in pieces:
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "_PIECE_ROWS", rows)
@@ -420,11 +460,12 @@ class TestBestBinaryV:
 
     @pytest.mark.parametrize("d, seed", [(30, 1), (35, 2)])
     def test_traced_peak_holds_no_bit_table(self, d, seed):
-        # what the search keeps is M (n_h by 2^n_l floats) and about a
-        # dozen vectors of one float per high-half pattern: the bound is
-        # 3.9 + 3.1 MB at d = 30 and 35.7 + 12.6 MB at d = 35, and the
-        # search peaks at 5.8 and 45.3 MB.  Whole float bit tables, with
-        # their products and an |M| temporary, would peak at 16.8 and 132 MB
+        # the search holds neither whole bit tables nor M (n_h by 2^n_l
+        # floats, 3.9 MB at d = 30 and 35.7 MB at d = 35): it keeps three
+        # floats per pattern of a half (q_l, q_h and q_h less the slack)
+        # and, while the bounds are made, two float arrays of 1,024 h by
+        # every piece of l.  With a megabyte for the rest, the bound is 2.4
+        # and 9.4 MB, and the search peaks at 1.8 and 8.2 MB
         sigma = models.effective_bs(models.random_instance(d, seed)).Sigma
         n_l = (d + 1) // 2
         M_bytes = (d - n_l) * 8 << n_l
@@ -434,4 +475,4 @@ class TestBestBinaryV:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert M_bytes < peak < M_bytes + (12 * 8 << (d - n_l))
+        assert peak < (24 << n_l) + (16 << (d - n_l)) + (1 << 20) < 0.62 * M_bytes

@@ -362,6 +362,38 @@ class TestMonteCarlo:
         assert med == np.median(runs)
         np.testing.assert_allclose(med, 1.0, rtol=0.1)
 
+    def test_median_is_numpys_bit_for_bit(self):
+        # sizes 1 to 21, with and without nan, signed zeros and infinities
+        rng = np.random.default_rng(61)
+        for i in range(12000):
+            a = rng.standard_normal(int(rng.integers(1, 22))) * 10.0 ** rng.integers(-5, 5)
+            if i % 3 == 0:
+                a[rng.integers(0, a.size, rng.integers(1, 3))] = np.nan
+            if i % 5 == 0:
+                a[rng.integers(0, a.size, rng.integers(1, 4))] = rng.choice(
+                    [0.0, -0.0, np.inf, -np.inf]
+                )
+            with np.errstate(invalid="ignore"):  # inf - inf in a middle pair
+                expected, got = float(np.median(a)), pricing._median(a)
+            assert got.hex() == expected.hex() or np.isnan(got) and np.isnan(expected), a
+
+    def test_median_leaves_numpy_ma_unimported(self):
+        # np.median imports numpy.ma on its first call
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from smoothquad import pricing\n"
+            "from smoothquad.sampling import RngSpec\n"
+            "f = pricing.Integrand(dim=2, func=lambda p: p.sum(axis=1), label='s')\n"
+            "pricing.price_mc(f, 256, RngSpec(21), runs=3)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pricing.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+
     def test_run_streams_are_indexed(self):
         f = pricing.Integrand(dim=2, func=lambda p: p.sum(axis=1), label="s")
         _, runs = pricing.price_mc(f, 256, RngSpec(21), runs=3)

@@ -1,4 +1,5 @@
 """Sobol sequences, the inverse normal map, and seeded random streams."""
+import ast
 import math
 import os
 import subprocess
@@ -238,6 +239,39 @@ class TestUfuncLoading:
             assert scipy.special.ndtr is pricing.ndtr
             assert scipy.special.ndtri is sampling.ndtri
         """)
+
+    def test_special_package_namespace_as_a_plain_import_leaves_it(self):
+        # the names in scipy.special.__dict__ without smoothquad, and in each
+        # order with it; only _ufuncs_cxx, which _ufuncs imports on its first
+        # run, does not come back after smoothquad's lean load
+        same_ufuncs = (
+            "\nassert sampling.ndtr is pricing.ndtr is scipy.special.ndtr"
+            "\nassert sampling.ndtri is scipy.special.ndtri"
+        )
+        orders = {
+            "alone": "import scipy.special",
+            "smoothquad first": "from smoothquad import pricing, sampling\nimport scipy.special"
+            + same_ufuncs,
+            "scipy first": "import scipy.special\nfrom smoothquad import pricing, sampling"
+            + same_ufuncs,
+        }
+        # SCIPY_ARRAY_API=1 makes scipy.special export wrappers of the ufuncs
+        env = {k: v for k, v in os.environ.items() if k != "SCIPY_ARRAY_API"}
+        env["PYTHONPATH"] = str(Path(sampling.__file__).parents[1])
+        names = {}
+        for order, code in orders.items():
+            run = subprocess.run(
+                [sys.executable, "-c", code + "\nprint(sorted(scipy.special.__dict__))"],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            names[order] = set(ast.literal_eval(run.stdout))
+        assert names["scipy first"] == names["alone"]
+        assert names["alone"] - names["smoothquad first"] == {"_ufuncs_cxx"}
+        assert names["smoothquad first"] <= names["alone"]
 
     def test_a_loaded_special_package_is_reused(self):
         run_fresh("""
